@@ -88,15 +88,12 @@ fn print_golden() {
     }
 }
 
-/// Run the full golden comparison with the pre-decoded program ROM on or
-/// off. The goldens were recorded from the decode-at-issue model, so the
-/// predecode-on pass doubles as the ROM's bit-identity gate.
-fn check_golden(predecode: bool) {
+#[test]
+fn suite_stats_match_pre_refactor_golden() {
     assert!(!GOLDEN.is_empty(), "golden table not recorded");
     let mut idx = 0usize;
     for (tag, config) in CONFIGS {
-        let (mut cfg, mode) = config.instantiate(Geometry::Small);
-        cfg.predecode = predecode;
+        let (cfg, mode) = config.instantiate(Geometry::Small);
         let results = run_suite_parallel_on(default_jobs(), cfg, mode, Scale::Test, 1)
             .unwrap_or_else(|e| panic!("suite failed under {tag}: {e}"));
         assert_eq!(results.len(), 14, "{tag}: suite size");
@@ -106,23 +103,12 @@ fn check_golden(predecode: bool) {
             assert_eq!(
                 fingerprint(stats),
                 want_fp,
-                "{tag}/{bench} (predecode={predecode}): \
-                 KernelStats diverged from the pre-refactor model"
+                "{tag}/{bench}: KernelStats diverged from the pre-refactor model"
             );
             idx += 1;
         }
     }
     assert_eq!(idx, GOLDEN.len(), "golden table covered");
-}
-
-#[test]
-fn suite_stats_match_pre_refactor_golden() {
-    check_golden(true);
-}
-
-#[test]
-fn suite_stats_match_golden_with_predecode_off() {
-    check_golden(false);
 }
 
 /// `(config, benchmark, fingerprint)` recorded from the pre-refactor model.

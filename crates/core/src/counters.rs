@@ -52,6 +52,22 @@ impl StallBreakdown {
     pub fn cheri_stalls(&self) -> u64 {
         self.csc_serialisation + self.shared_vrf_conflict + self.cap_multi_flit
     }
+
+    /// Add another run's stall cycles, cause by cause.
+    pub fn add(&mut self, other: &StallBreakdown) {
+        let StallBreakdown {
+            csc_serialisation,
+            shared_vrf_conflict,
+            spill_fill,
+            cap_multi_flit,
+            idle,
+        } = *other;
+        self.csc_serialisation += csc_serialisation;
+        self.shared_vrf_conflict += shared_vrf_conflict;
+        self.spill_fill += spill_fill;
+        self.cap_multi_flit += cap_multi_flit;
+        self.idle += idle;
+    }
 }
 
 /// Trap and fault counters (the trap-precision subsystem).
@@ -73,9 +89,19 @@ pub struct FaultStats {
     pub suppressed: u64,
 }
 
+impl FaultStats {
+    /// Add another run's fault counters.
+    pub fn add(&mut self, other: &FaultStats) {
+        let FaultStats { traps, faulting_lanes, suppressed } = *other;
+        self.traps += traps;
+        self.faulting_lanes += faulting_lanes;
+        self.suppressed += suppressed;
+    }
+}
+
 /// Statistics of one kernel run.
 ///
-/// `PartialEq` (not `Eq` — two fields are time-averaged `f64`s) lets the
+/// `PartialEq` (not `Eq` — two fields are averaged `f64`s) lets the
 /// parallel-runner determinism tests compare whole suites structurally.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelStats {
@@ -123,11 +149,13 @@ pub struct KernelStats {
     /// Section 3.1 compressed capability-metadata file's counters; CHERI
     /// term of **Figure 10**.
     pub meta_rf: RfStats,
-    /// Time-averaged number of data vectors resident in the VRF. Models
-    /// SIMTight's vector-register residency counter (sampled per cycle);
-    /// the "average" series of **Figure 10**'s left half.
+    /// Average number of data vectors resident in the VRF, sampled once
+    /// per warp-instruction *issue* (not per cycle: stall cycles carry no
+    /// sample). Models SIMTight's vector-register residency counter; the
+    /// "average" series of **Figure 10**'s left half.
     pub avg_data_vrf_resident: f64,
-    /// Time-averaged number of metadata vectors resident in the VRF — the
+    /// Average number of metadata vectors resident in the VRF, sampled
+    /// once per issue like [`KernelStats::avg_data_vrf_resident`] — the
     /// "average" series of **Figure 10**'s right half, and the quantity the
     /// null-value optimisation (Section 3.2) shrinks.
     pub avg_meta_vrf_resident: f64,
@@ -155,14 +183,15 @@ pub struct KernelStats {
     /// the Section-4.4 proof-of-concept feature is enabled; `repro ablate`
     /// reports its effect).
     pub stack_cache_hits: u64,
-    /// Warp-instructions the execute stage ran once per warp over compact
-    /// (uniform/affine) operands instead of lane by lane — the dynamic
-    /// scalarisation rate of Section 2.3's scalarising register file,
+    /// Warp-instructions the issue classifier proved warp-wide, so execute
+    /// computed them once per warp over compact (uniform/affine) operands
+    /// instead of lane by lane — the dynamic scalarisation rate of
+    /// Section 2.3's scalarising register file,
     /// reported by `repro scalarise`. Equals the number of `issue` events
     /// whose `class` is `scalarised` in a structured trace; the remaining
     /// `instrs - scalarised_issues` issues carry `per_lane`. Timing-neutral:
-    /// the fast path is bit-identical to the lane-wise one, so this counter
-    /// never changes any other statistic.
+    /// it records the classifier's verdict and never changes any other
+    /// statistic.
     pub scalarised_issues: u64,
     /// Trap/fault counters — see [`FaultStats`]. All-zero on a clean run.
     pub faults: FaultStats,
@@ -207,8 +236,9 @@ impl KernelStats {
     }
 
     /// Accumulate another run's statistics (for multi-launch benchmarks
-    /// such as the global bitonic sorter's phase kernels). Cycle-weighted
-    /// averages are re-derived; peaks take the maximum.
+    /// such as the global bitonic sorter's phase kernels): cycles add,
+    /// the residency averages are re-weighted by cycles, counts sum, peaks
+    /// take the maximum and register masks OR.
     pub fn accumulate(&mut self, other: &KernelStats) {
         let w_old = self.cycles as f64;
         let w_new = other.cycles as f64;
@@ -218,46 +248,59 @@ impl KernelStats {
         self.avg_meta_vrf_resident =
             (self.avg_meta_vrf_resident * w_old + other.avg_meta_vrf_resident * w_new) / total;
         self.cycles += other.cycles;
-        self.instrs += other.instrs;
-        self.thread_instrs += other.thread_instrs;
-        for (k, v) in &other.cheri_histogram {
+        self.add(other);
+    }
+
+    /// Merge the counters that every combination of runs (a sequence of
+    /// launches, or the concurrent SMs of a device) merges the same way:
+    /// counts sum, peaks take the maximum and register masks OR. `cycles`
+    /// and the two residency averages are left to the caller, which
+    /// weights them its own way. The exhaustive destructuring makes a new
+    /// field a compile error here until its merge rule is chosen.
+    pub(crate) fn add(&mut self, other: &KernelStats) {
+        let KernelStats {
+            cycles: _,
+            instrs,
+            thread_instrs,
+            cheri_histogram,
+            stalls,
+            dram,
+            tag_cache,
+            scratch,
+            data_rf,
+            meta_rf,
+            avg_data_vrf_resident: _,
+            avg_meta_vrf_resident: _,
+            peak_data_vrf_resident,
+            peak_meta_vrf_resident,
+            cap_regs_used,
+            cap_regs_mask,
+            sfu_requests,
+            barriers,
+            stack_cache_hits,
+            scalarised_issues,
+            faults,
+        } = other;
+        self.instrs += instrs;
+        self.thread_instrs += thread_instrs;
+        for (k, v) in cheri_histogram {
             *self.cheri_histogram.entry(k).or_insert(0) += v;
         }
-        self.stalls.csc_serialisation += other.stalls.csc_serialisation;
-        self.stalls.shared_vrf_conflict += other.stalls.shared_vrf_conflict;
-        self.stalls.spill_fill += other.stalls.spill_fill;
-        self.stalls.cap_multi_flit += other.stalls.cap_multi_flit;
-        self.stalls.idle += other.stalls.idle;
-        self.dram.read_transactions += other.dram.read_transactions;
-        self.dram.write_transactions += other.dram.write_transactions;
-        self.dram.tag_transactions += other.dram.tag_transactions;
-        self.dram.busy_cycles += other.dram.busy_cycles;
-        self.tag_cache.hits += other.tag_cache.hits;
-        self.tag_cache.misses += other.tag_cache.misses;
-        self.tag_cache.writebacks += other.tag_cache.writebacks;
-        self.scratch.accesses += other.scratch.accesses;
-        self.scratch.conflict_cycles += other.scratch.conflict_cycles;
-        self.data_rf.spills += other.data_rf.spills;
-        self.data_rf.fills += other.data_rf.fills;
-        self.data_rf.scalar_writes += other.data_rf.scalar_writes;
-        self.data_rf.vector_writes += other.data_rf.vector_writes;
-        self.data_rf.peak_resident = self.data_rf.peak_resident.max(other.data_rf.peak_resident);
-        self.meta_rf.spills += other.meta_rf.spills;
-        self.meta_rf.fills += other.meta_rf.fills;
-        self.meta_rf.scalar_writes += other.meta_rf.scalar_writes;
-        self.meta_rf.vector_writes += other.meta_rf.vector_writes;
-        self.meta_rf.peak_resident = self.meta_rf.peak_resident.max(other.meta_rf.peak_resident);
-        self.peak_data_vrf_resident = self.peak_data_vrf_resident.max(other.peak_data_vrf_resident);
-        self.peak_meta_vrf_resident = self.peak_meta_vrf_resident.max(other.peak_meta_vrf_resident);
-        self.cap_regs_used = self.cap_regs_used.max(other.cap_regs_used);
-        self.cap_regs_mask |= other.cap_regs_mask;
-        self.sfu_requests += other.sfu_requests;
-        self.barriers += other.barriers;
-        self.stack_cache_hits += other.stack_cache_hits;
-        self.scalarised_issues += other.scalarised_issues;
-        self.faults.traps += other.faults.traps;
-        self.faults.faulting_lanes += other.faults.faulting_lanes;
-        self.faults.suppressed += other.faults.suppressed;
+        self.stalls.add(stalls);
+        self.dram.add(dram);
+        self.tag_cache.add(tag_cache);
+        self.scratch.add(scratch);
+        self.data_rf.add(data_rf);
+        self.meta_rf.add(meta_rf);
+        self.peak_data_vrf_resident = self.peak_data_vrf_resident.max(*peak_data_vrf_resident);
+        self.peak_meta_vrf_resident = self.peak_meta_vrf_resident.max(*peak_meta_vrf_resident);
+        self.cap_regs_used = self.cap_regs_used.max(*cap_regs_used);
+        self.cap_regs_mask |= cap_regs_mask;
+        self.sfu_requests += sfu_requests;
+        self.barriers += barriers;
+        self.stack_cache_hits += stack_cache_hits;
+        self.scalarised_issues += scalarised_issues;
+        self.faults.add(faults);
     }
 }
 

@@ -176,15 +176,6 @@ impl Device {
         }
     }
 
-    /// Enable or disable program pre-decoding on every SM (see
-    /// [`Sm::set_predecode`]). A host-model speed knob: results are
-    /// bit-identical either way.
-    pub fn set_predecode(&mut self, enabled: bool) {
-        for sm in &mut self.sms {
-            sm.set_predecode(enabled);
-        }
-    }
-
     /// Reset every SM and the shared subsystem's statistics for a fresh
     /// launch (memory contents are preserved).
     pub fn reset(&mut self) {
@@ -300,8 +291,8 @@ impl Device {
     }
 
     /// Combine per-SM statistics into device totals: pipeline counters
-    /// sum, `cycles` is the slowest SM (the SMs run concurrently),
-    /// residency averages are issue-weighted, peaks take the maximum, and
+    /// merge as in [`KernelStats::add`], `cycles` is the slowest SM (the
+    /// SMs run concurrently), residency averages are issue-weighted, and
     /// the shared `dram`/`tag_cache` counters are read once from the
     /// shared subsystem rather than summed across per-SM snapshots.
     /// Tolerates missing per-SM snapshots (an aborted run combines only
@@ -312,41 +303,9 @@ impl Device {
         let mut weighted_meta = 0.0;
         for s in self.sm_stats.iter().flatten() {
             out.cycles = out.cycles.max(s.cycles);
-            out.instrs += s.instrs;
-            out.thread_instrs += s.thread_instrs;
-            out.scalarised_issues += s.scalarised_issues;
-            for (k, v) in &s.cheri_histogram {
-                *out.cheri_histogram.entry(k).or_insert(0) += v;
-            }
-            out.stalls.csc_serialisation += s.stalls.csc_serialisation;
-            out.stalls.shared_vrf_conflict += s.stalls.shared_vrf_conflict;
-            out.stalls.spill_fill += s.stalls.spill_fill;
-            out.stalls.cap_multi_flit += s.stalls.cap_multi_flit;
-            out.stalls.idle += s.stalls.idle;
-            out.scratch.accesses += s.scratch.accesses;
-            out.scratch.conflict_cycles += s.scratch.conflict_cycles;
-            out.data_rf.spills += s.data_rf.spills;
-            out.data_rf.fills += s.data_rf.fills;
-            out.data_rf.scalar_writes += s.data_rf.scalar_writes;
-            out.data_rf.vector_writes += s.data_rf.vector_writes;
-            out.data_rf.peak_resident = out.data_rf.peak_resident.max(s.data_rf.peak_resident);
-            out.meta_rf.spills += s.meta_rf.spills;
-            out.meta_rf.fills += s.meta_rf.fills;
-            out.meta_rf.scalar_writes += s.meta_rf.scalar_writes;
-            out.meta_rf.vector_writes += s.meta_rf.vector_writes;
-            out.meta_rf.peak_resident = out.meta_rf.peak_resident.max(s.meta_rf.peak_resident);
             weighted_data += s.avg_data_vrf_resident * s.instrs as f64;
             weighted_meta += s.avg_meta_vrf_resident * s.instrs as f64;
-            out.peak_data_vrf_resident = out.peak_data_vrf_resident.max(s.peak_data_vrf_resident);
-            out.peak_meta_vrf_resident = out.peak_meta_vrf_resident.max(s.peak_meta_vrf_resident);
-            out.cap_regs_used = out.cap_regs_used.max(s.cap_regs_used);
-            out.cap_regs_mask |= s.cap_regs_mask;
-            out.sfu_requests += s.sfu_requests;
-            out.barriers += s.barriers;
-            out.stack_cache_hits += s.stack_cache_hits;
-            out.faults.traps += s.faults.traps;
-            out.faults.faulting_lanes += s.faults.faulting_lanes;
-            out.faults.suppressed += s.faults.suppressed;
+            out.add(s);
         }
         if out.instrs > 0 {
             out.avg_data_vrf_resident = weighted_data / out.instrs as f64;
@@ -441,6 +400,50 @@ mod tests {
         assert_eq!(combined.instrs, s0.instrs + s1.instrs);
         assert_eq!(combined.faults.traps, 1);
         assert!(combined.cycles > 0);
+    }
+
+    /// Multi-launch totals keep the cross-SM contention counters:
+    /// accumulating two 2-SM launches sums every one of them.
+    #[test]
+    fn accumulate_sums_cross_sm_counters() {
+        use cheri_cap::{CapPipe, Perms};
+        use simt_isa::scr;
+        let cfg = SmConfig::small(CheriMode::On(crate::CheriOpts::optimised()));
+        let mut dev = Device::new(cfg, 2);
+        // Every hart stores through a capability to its own 64-byte block,
+        // so both SMs drive the DRAM channel and the tag cache.
+        let prog: Vec<u32> = [
+            Instr::CSpecialRw { cd: Reg::A3, cs1: Reg::ZERO, scr: scr::GLOBAL },
+            Instr::Csrrs { rd: Reg::A0, csr: csr::MHARTID, rs1: Reg::ZERO },
+            Instr::OpImm { op: AluOp::Sll, rd: Reg::A1, rs1: Reg::A0, imm: 6 },
+            Instr::Lui { rd: Reg::A2, imm: map::DRAM_BASE },
+            Instr::Op { op: AluOp::Add, rd: Reg::A1, rs1: Reg::A1, rs2: Reg::A2 },
+            Instr::CSetAddr { cd: Reg::A3, cs1: Reg::A3, rs2: Reg::A1 },
+            Instr::Store { w: StoreWidth::W, rs2: Reg::A0, rs1: Reg::A3, off: 0 },
+            Instr::Simt { op: SimtOp::Terminate },
+        ]
+        .iter()
+        .map(|i| i.encode())
+        .collect();
+        dev.load_program(&prog);
+        dev.set_scr(scr::GLOBAL, CapPipe::almighty().and_perm(Perms::data()).to_mem());
+        let mut launch = || {
+            dev.reset();
+            dev.run(100_000).expect("device run")
+        };
+        let (first, second) = (launch(), launch());
+        assert!(first.dram.cross_sm_switches > 0, "both SMs drive the DRAM channel");
+        assert!(first.tag_cache.cross_sm_switches > 0, "both SMs use the tag cache");
+        let mut total = first.clone();
+        total.accumulate(&second);
+        let sum = |f: fn(&KernelStats) -> u64| f(&first) + f(&second);
+        assert_eq!(total.dram.cross_sm_switches, sum(|s| s.dram.cross_sm_switches));
+        assert_eq!(total.dram.cross_sm_wait_cycles, sum(|s| s.dram.cross_sm_wait_cycles));
+        assert_eq!(total.tag_cache.cross_sm_switches, sum(|s| s.tag_cache.cross_sm_switches));
+        assert_eq!(
+            total.tag_cache.cross_sm_conflict_evictions,
+            sum(|s| s.tag_cache.cross_sm_conflict_evictions)
+        );
     }
 
     #[test]

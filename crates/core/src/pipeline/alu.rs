@@ -1,21 +1,23 @@
 //! ALU op class: `LUI`/`AUIPC` splats, the integer ALU (`OP-IMM`/`OP`),
 //! the M extension and CSR reads.
 //!
-//! Each handler has two bit-identical paths, chosen by the issue
-//! classifier's verdict (see [`super::classify`]): a warp-wide fast path
-//! over compact operands and the lane-wise reference path. CSR reads are
-//! virtualised for multi-SM devices: `MHARTID` is offset by the SM's
-//! [`Sm::set_hart_base`] placement and `SIMT_NUM_THREADS` reads the
-//! device-wide thread count, so an unmodified grid-stride kernel
-//! distributes its blocks across every SM of a [`crate::Device`].
+//! Each op is written once over compact operands and evaluated by
+//! [`super::scalar::Eval`]; the linearity predicates of
+//! [`super::classify`] decide when an affine operand may be sampled
+//! instead of expanded. CSR reads are virtualised for multi-SM devices:
+//! `MHARTID` is offset by the SM's [`Sm::set_hart_base`] placement and
+//! `SIMT_NUM_THREADS` reads the device-wide thread count, so an
+//! unmodified grid-stride kernel distributes its blocks across every SM of
+//! a [`crate::Device`].
 
-use super::scalar::linear2;
+use super::classify::{alu_scalarises, muldiv_scalarises};
+use super::scalar::Eval;
 use super::Costs;
 use crate::exec;
-use crate::sm::Sm;
+use crate::sm::{LaneBufs, Sm};
 use crate::warp::Selection;
 use simt_isa::{Instr, MulOp};
-use simt_regfile::OperandVec;
+use simt_regfile::{OperandClass, OperandVec};
 
 impl Sm {
     /// Execute one ALU-class instruction (always writes `rd`, never traps,
@@ -25,172 +27,85 @@ impl Sm {
         w: u32,
         sel: &Selection,
         instr: Instr,
-        fast: bool,
+        scalarised: bool,
         costs: &mut Costs,
     ) {
-        if fast {
-            self.exec_alu_fast(w, sel, instr, costs);
-        } else {
-            self.exec_alu_lanewise(w, sel, instr, costs);
-        }
+        let mut bufs = self.take_bufs();
+        self.alu_with(&mut bufs, w, sel, instr, scalarised, costs);
+        self.put_bufs(bufs);
         self.advance_uniform(w, sel, sel.pc.wrapping_add(4), None);
     }
 
-    /// The lane-wise reference path. Scratch staleness audit: `a`/`b` are
-    /// fully overwritten by `read_data`; `r` is written per active lane (or
-    /// `[..lanes]`-filled) and committed under the mask; `rm` is read only
-    /// when `rd_is_cap`, which fills it.
-    fn exec_alu_lanewise(&mut self, w: u32, sel: &Selection, instr: Instr, costs: &mut Costs) {
-        let mut bufs = self.take_bufs();
-        self.alu_lanewise_with(&mut bufs, w, sel, instr, costs);
-        self.put_bufs(bufs);
-    }
-
-    fn alu_lanewise_with(
+    fn alu_with(
         &mut self,
-        bufs: &mut crate::sm::LaneBufs,
+        bufs: &mut LaneBufs,
         w: u32,
         sel: &Selection,
         instr: Instr,
+        scalarised: bool,
         costs: &mut Costs,
     ) {
-        let lanes = self.cfg.lanes as usize;
-        let mask = sel.mask;
-        let crate::sm::LaneBufs { a, b, r, rm, .. } = bufs;
-        let mut rd_is_cap = false;
-
-        macro_rules! active {
-            () => {
-                (0..lanes).filter(|i| mask >> i & 1 == 1)
-            };
-        }
-
-        let rd = match instr {
-            Instr::Lui { rd, imm } => {
-                r[..lanes].fill(imm as u64);
-                rd
-            }
+        let LaneBufs { a, b, r, spare, .. } = bufs;
+        let mut ev = Eval::new(sel.mask, self.cfg.lanes, scalarised, spare);
+        let (rd, val, meta) = match instr {
+            Instr::Lui { rd, imm } => (rd, OperandVec::Uniform(imm as u64), None),
             Instr::Auipc { rd, imm } => {
                 let target = sel.pc.wrapping_add(imm);
                 if self.cheri() {
                     self.stats.count_cheri("AUIPCC", 1);
                     let cap = Self::cap_of(sel.pcc_meta, sel.pc as u64).set_addr(target);
                     let (m, d) = Self::cap_parts(cap);
-                    r[..lanes].fill(d);
-                    rm[..lanes].fill(m);
-                    rd_is_cap = true;
+                    (rd, OperandVec::Uniform(d), Some(OperandVec::Uniform(m)))
                 } else {
-                    r[..lanes].fill(target as u64);
-                }
-                rd
-            }
-            Instr::OpImm { op, rd, rs1, imm } => {
-                self.read_data(w, rs1, a, costs);
-                for i in active!() {
-                    r[i] = exec::alu(op, a[i] as u32, imm as u32) as u64;
-                }
-                rd
-            }
-            Instr::Op { op, rd, rs1, rs2 } => {
-                self.read_data(w, rs1, a, costs);
-                self.read_data(w, rs2, b, costs);
-                for i in active!() {
-                    r[i] = exec::alu(op, a[i] as u32, b[i] as u32) as u64;
-                }
-                rd
-            }
-            Instr::MulDiv { op, rd, rs1, rs2 } => {
-                self.read_data(w, rs1, a, costs);
-                self.read_data(w, rs2, b, costs);
-                for i in active!() {
-                    r[i] = exec::muldiv(op, a[i] as u32, b[i] as u32) as u64;
-                }
-                self.muldiv_latency(w, op);
-                rd
-            }
-            Instr::Csrrs { rd, csr, .. } => {
-                for i in active!() {
-                    r[i] = self.csr_value(w, csr, i as u32);
-                }
-                rd
-            }
-            _ => unreachable!("not an ALU-class instruction"),
-        };
-        self.writeback(w, rd, &r[..], rd_is_cap.then_some(&rm[..]), mask, costs);
-    }
-
-    /// The warp-wide fast path over compact operands. Only reached for
-    /// issues the classifier proved scalarisable; bit-identical to
-    /// [`Sm::exec_alu_lanewise`] on those.
-    fn exec_alu_fast(&mut self, w: u32, sel: &Selection, instr: Instr, costs: &mut Costs) {
-        let mask = sel.mask;
-        match instr {
-            Instr::Lui { rd, imm } => {
-                self.writeback_compact(w, rd, &OperandVec::Uniform(imm as u64), None, mask, costs);
-            }
-            Instr::Auipc { rd, imm } => {
-                let target = sel.pc.wrapping_add(imm);
-                if self.cheri() {
-                    self.stats.count_cheri("AUIPCC", 1);
-                    let cap = Self::cap_of(sel.pcc_meta, sel.pc as u64).set_addr(target);
-                    let (m, d) = Self::cap_parts(cap);
-                    let meta = OperandVec::Uniform(m);
-                    self.writeback_compact(
-                        w,
-                        rd,
-                        &OperandVec::Uniform(d),
-                        Some(&meta),
-                        mask,
-                        costs,
-                    );
-                } else {
-                    self.writeback_compact(
-                        w,
-                        rd,
-                        &OperandVec::Uniform(target as u64),
-                        None,
-                        mask,
-                        costs,
-                    );
+                    (rd, OperandVec::Uniform(target as u64), None)
                 }
             }
             Instr::OpImm { op, rd, rs1, imm } => {
-                let a = self.read_data_compact(w, rs1, costs);
-                let res = linear2(|x, y| exec::alu(op, x, y), &a, &OperandVec::Uniform(imm as u64));
-                self.writeback_compact(w, rd, &res, None, mask, costs);
+                let x = self.read_data(w, rs1, a, costs);
+                let affine = alu_scalarises(op, x.class(), OperandClass::Uniform);
+                let y = OperandVec::Uniform(imm as u64);
+                let v =
+                    ev.eval([x, y], affine, r, |[x, y]| exec::alu(op, x as u32, y as u32) as u64);
+                (rd, v, None)
             }
             Instr::Op { op, rd, rs1, rs2 } => {
-                let a = self.read_data_compact(w, rs1, costs);
-                let b = self.read_data_compact(w, rs2, costs);
-                let res = linear2(|x, y| exec::alu(op, x, y), &a, &b);
-                self.writeback_compact(w, rd, &res, None, mask, costs);
+                let x = self.read_data(w, rs1, a, costs);
+                let y = self.read_data(w, rs2, b, costs);
+                let affine = alu_scalarises(op, x.class(), y.class());
+                let v =
+                    ev.eval([x, y], affine, r, |[x, y]| exec::alu(op, x as u32, y as u32) as u64);
+                (rd, v, None)
             }
             Instr::MulDiv { op, rd, rs1, rs2 } => {
-                let a = self.read_data_compact(w, rs1, costs);
-                let b = self.read_data_compact(w, rs2, costs);
-                let res = linear2(|x, y| exec::muldiv(op, x, y), &a, &b);
+                let x = self.read_data(w, rs1, a, costs);
+                let y = self.read_data(w, rs2, b, costs);
+                let affine = muldiv_scalarises(op, x.class(), y.class());
+                let v = ev
+                    .eval([x, y], affine, r, |[x, y]| exec::muldiv(op, x as u32, y as u32) as u64);
                 self.muldiv_latency(w, op);
-                self.writeback_compact(w, rd, &res, None, mask, costs);
+                (rd, v, None)
             }
             Instr::Csrrs { rd, csr, .. } => {
-                let lane0 = self.csr_value(w, csr, 0);
-                let res = if csr == simt_isa::csr::MHARTID {
+                let lane0 = self.csr_lane0(w, csr);
+                let v = if csr == simt_isa::csr::MHARTID {
                     // Hart ids advance by one per lane.
                     OperandVec::Affine { base: lane0, stride: 1 }
                 } else {
                     OperandVec::Uniform(lane0)
                 };
-                self.writeback_compact(w, rd, &res, None, mask, costs);
+                (rd, v, None)
             }
             _ => unreachable!("not an ALU-class instruction"),
-        }
+        };
+        self.writeback(w, rd, val, meta, sel.mask, costs);
     }
 
-    /// What lane `i` of warp `w` reads from `csr` (shared by both paths).
-    fn csr_value(&self, w: u32, csr: u16, i: u32) -> u64 {
+    /// What lane 0 of warp `w` reads from `csr` (every CSR is uniform
+    /// across the warp except `MHARTID`, which advances by one per lane).
+    fn csr_lane0(&self, w: u32, csr: u16) -> u64 {
         use simt_isa::csr as c;
         match csr {
-            c::MHARTID => (self.hart_base + w * self.cfg.lanes + i) as u64,
+            c::MHARTID => (self.hart_base + w * self.cfg.lanes) as u64,
             c::SIMT_NUM_WARPS => self.cfg.warps as u64,
             c::SIMT_LOG_LANES => self.cfg.lanes.trailing_zeros() as u64,
             c::SIMT_NUM_THREADS => self.device_threads as u64,

@@ -3,18 +3,19 @@
 //! their `cheri_histogram` attribution and the SFU offload of the cold
 //! bounds-setting ops (Section 3.3).
 //!
-//! The scalarised fast path runs when the whole capability operand (data
-//! *and* metadata) is warp-uniform: one capability computation stands for
-//! every lane, and the result is committed compactly.
+//! Each op's CHERI semantics is stated once, as a function of one lane's
+//! capability (and scalar operand), and evaluated by
+//! [`super::scalar::Eval`]: a warp-uniform capability operand (data *and*
+//! metadata) is computed once for every lane, anything else lane by lane.
 
-use super::scalar::expect_uniform;
+use super::scalar::Eval;
 use super::Costs;
-use crate::sm::Sm;
+use crate::sm::{LaneBufs, Sm};
 use crate::trap::{LaneFault, RunError, Trap, TrapCause};
 use crate::warp::Selection;
 use cheri_cap::{bounds, CapException, CapPipe, Perms};
-use simt_isa::{scr, Instr, Reg, UnaryCapOp};
-use simt_regfile::{OperandVec, MAX_LANES, NULL_META};
+use simt_isa::{scr, Instr, UnaryCapOp};
+use simt_regfile::{OperandVec, NULL_META};
 
 impl Sm {
     /// Execute one capability-class instruction (always writes `rd`,
@@ -30,268 +31,104 @@ impl Sm {
         w: u32,
         sel: &Selection,
         instr: Instr,
-        fast: bool,
+        scalarised: bool,
         costs: &mut Costs,
     ) -> Result<(), RunError> {
-        if fast {
-            self.exec_cap_fast(w, sel, instr, costs)?;
-        } else {
-            self.exec_cap_lanewise(w, sel, instr, costs)?;
-        }
+        let mut bufs = self.take_bufs();
+        let res = self.cap_with(&mut bufs, w, sel, instr, scalarised, costs);
+        self.put_bufs(bufs);
+        res?;
         self.advance_uniform(w, sel, sel.pc.wrapping_add(4), None);
         Ok(())
     }
 
-    /// The lane-wise reference path. Scratch staleness audit: `a`/`am`/`b`
-    /// are fully overwritten by the operand reads; every arm writes
-    /// `r[i]`/`rm[i]` for each active lane (or `[..lanes]`-fills them) and
-    /// the commit is under the mask; `rm` is read only when `rd_is_cap`.
-    fn exec_cap_lanewise(
+    /// Scratch use: `a`/`am`/`b` hold irregular operands, `bm` the
+    /// per-lane `CSetBoundsExact` verdicts and `r`/`rm` per-lane results,
+    /// each borrowed only as written.
+    fn cap_with(
         &mut self,
+        bufs: &mut LaneBufs,
         w: u32,
         sel: &Selection,
         instr: Instr,
+        scalarised: bool,
         costs: &mut Costs,
     ) -> Result<(), RunError> {
-        let mut bufs = self.take_bufs();
-        let res = self.cap_lanewise_with(&mut bufs, w, sel, instr, costs);
-        self.put_bufs(bufs);
-        res
-    }
-
-    fn cap_lanewise_with(
-        &mut self,
-        bufs: &mut crate::sm::LaneBufs,
-        w: u32,
-        sel: &Selection,
-        instr: Instr,
-        costs: &mut Costs,
-    ) -> Result<(), RunError> {
-        let lanes = self.cfg.lanes as usize;
-        let mask = sel.mask;
-        let crate::sm::LaneBufs { a, b, am, r, rm, .. } = bufs;
-        let mut rd_is_cap = false;
-
-        macro_rules! active {
-            () => {
-                (0..lanes).filter(|i| mask >> i & 1 == 1)
-            };
-        }
-
-        let rd = match instr {
+        let LaneBufs { a, am, b, bm, r, rm, spare, .. } = bufs;
+        let mut ev = Eval::new(sel.mask, self.cfg.lanes, scalarised, spare);
+        let (name, cd, cs1, rs2, imm) = match instr {
             Instr::CapUnary { op, rd, cs1 } => {
-                self.exec_cap_unary(w, sel, op, rd, cs1, r, rm, &mut rd_is_cap, costs);
-                rd
-            }
-            Instr::CAndPerm { cd, cs1, rs2 } => {
-                self.stats.count_cheri("CAndPerm", 1);
-                self.read_cap_operand(w, cs1, a, am, costs);
-                self.read_data(w, rs2, b, costs);
-                for i in active!() {
-                    let cap = Self::cap_of(am[i], a[i]).and_perm(Perms::from_bits(b[i] as u16));
-                    (rm[i], r[i]) = Self::cap_parts(cap);
+                let (d, m) = self.read_cap(w, cs1, a, am, costs);
+                self.stats.count_cheri(Self::cap_unary_name(op), 1);
+                let (v, vm) = ev.eval_cap([d, m], r, rm, |[d, m]| Self::cap_unary(op, d, m));
+                if Self::cap_unary_offloads(op) {
+                    self.cap_sfu_suspend(w, sel);
                 }
-                rd_is_cap = true;
-                cd
-            }
-            Instr::CSetFlags { cd, cs1, rs2 } => {
-                self.stats.count_cheri("CSetFlags", 1);
-                self.read_cap_operand(w, cs1, a, am, costs);
-                self.read_data(w, rs2, b, costs);
-                for i in active!() {
-                    let cap = Self::cap_of(am[i], a[i]).set_flags(b[i] & 1 == 1);
-                    (rm[i], r[i]) = Self::cap_parts(cap);
-                }
-                rd_is_cap = true;
-                cd
-            }
-            Instr::CSetAddr { cd, cs1, rs2 } => {
-                self.stats.count_cheri("CSetAddr", 1);
-                self.read_cap_operand(w, cs1, a, am, costs);
-                self.read_data(w, rs2, b, costs);
-                for i in active!() {
-                    let cap = Self::cap_of(am[i], a[i]).set_addr(b[i] as u32);
-                    (rm[i], r[i]) = Self::cap_parts(cap);
-                }
-                rd_is_cap = true;
-                cd
-            }
-            Instr::CIncOffset { cd, cs1, rs2 } => {
-                self.stats.count_cheri("CIncOffset", 1);
-                self.read_cap_operand(w, cs1, a, am, costs);
-                self.read_data(w, rs2, b, costs);
-                for i in active!() {
-                    let cap = Self::cap_of(am[i], a[i]).inc_offset(b[i] as u32);
-                    (rm[i], r[i]) = Self::cap_parts(cap);
-                }
-                rd_is_cap = true;
-                cd
-            }
-            Instr::CIncOffsetImm { cd, cs1, imm } => {
-                self.stats.count_cheri("CIncOffsetImm", 1);
-                self.read_cap_operand(w, cs1, a, am, costs);
-                for i in active!() {
-                    let cap = Self::cap_of(am[i], a[i]).inc_offset(imm as u32);
-                    (rm[i], r[i]) = Self::cap_parts(cap);
-                }
-                rd_is_cap = true;
-                cd
-            }
-            Instr::CSetBounds { cd, cs1, rs2 } => {
-                self.stats.count_cheri("CSetBounds", 1);
-                self.read_cap_operand(w, cs1, a, am, costs);
-                self.read_data(w, rs2, b, costs);
-                for i in active!() {
-                    let (cap, _) = Self::cap_of(am[i], a[i]).set_bounds(b[i] as u32);
-                    (rm[i], r[i]) = Self::cap_parts(cap);
-                }
-                self.cap_sfu_suspend(w, sel);
-                rd_is_cap = true;
-                cd
-            }
-            Instr::CSetBoundsExact { cd, cs1, rs2 } => {
-                self.stats.count_cheri("CSetBoundsExact", 1);
-                self.read_cap_operand(w, cs1, a, am, costs);
-                self.read_data(w, rs2, b, costs);
-                // Check phase: a tagged, unsealed source with an
-                // unrepresentable request raises InexactBounds; no lane
-                // commits if any lane faults.
-                let mut faults: Vec<LaneFault> = Vec::new();
-                for i in active!() {
-                    let cap = Self::cap_of(am[i], a[i]);
-                    let (_, exact) = cap.set_bounds(b[i] as u32);
-                    if cap.tag() && !cap.is_sealed() && !exact {
-                        faults.push(LaneFault {
-                            lane: i as u32,
-                            cause: TrapCause::Cheri(CapException::InexactBounds),
-                        });
-                    }
-                }
-                if let Some(t) = Trap::from_lane_faults(w, sel.pc, faults) {
-                    return Err(t.into());
-                }
-                for i in active!() {
-                    let cap = Self::cap_of(am[i], a[i]).set_bounds_exact(b[i] as u32);
-                    (rm[i], r[i]) = Self::cap_parts(cap);
-                }
-                self.cap_sfu_suspend(w, sel);
-                rd_is_cap = true;
-                cd
-            }
-            Instr::CSetBoundsImm { cd, cs1, imm } => {
-                self.stats.count_cheri("CSetBoundsImm", 1);
-                self.read_cap_operand(w, cs1, a, am, costs);
-                for i in active!() {
-                    let (cap, _) = Self::cap_of(am[i], a[i]).set_bounds(imm);
-                    (rm[i], r[i]) = Self::cap_parts(cap);
-                }
-                self.cap_sfu_suspend(w, sel);
-                rd_is_cap = true;
-                cd
+                let is_cap =
+                    matches!(op, UnaryCapOp::ClearTag | UnaryCapOp::Move | UnaryCapOp::SealEntry);
+                self.writeback(w, rd, v, is_cap.then_some(vm), sel.mask, costs);
+                return Ok(());
             }
             Instr::CSpecialRw { cd, scr: s, .. } => {
                 self.stats.count_cheri("CSpecialRW", 1);
-                let cap = self.scr_cap(sel, s);
-                let (m, d) = Self::cap_parts(cap);
-                r[..lanes].fill(d);
-                rm[..lanes].fill(m);
-                rd_is_cap = true;
-                cd
+                let (m, d) = Self::cap_parts(self.scr_cap(sel, s));
+                let meta = Some(OperandVec::Uniform(m));
+                self.writeback(w, cd, OperandVec::Uniform(d), meta, sel.mask, costs);
+                return Ok(());
             }
+            Instr::CAndPerm { cd, cs1, rs2 } => ("CAndPerm", cd, cs1, Some(rs2), 0),
+            Instr::CSetFlags { cd, cs1, rs2 } => ("CSetFlags", cd, cs1, Some(rs2), 0),
+            Instr::CSetAddr { cd, cs1, rs2 } => ("CSetAddr", cd, cs1, Some(rs2), 0),
+            Instr::CIncOffset { cd, cs1, rs2 } => ("CIncOffset", cd, cs1, Some(rs2), 0),
+            Instr::CIncOffsetImm { cd, cs1, imm } => ("CIncOffsetImm", cd, cs1, None, imm as u32),
+            Instr::CSetBounds { cd, cs1, rs2 } => ("CSetBounds", cd, cs1, Some(rs2), 0),
+            Instr::CSetBoundsExact { cd, cs1, rs2 } => ("CSetBoundsExact", cd, cs1, Some(rs2), 0),
+            Instr::CSetBoundsImm { cd, cs1, imm } => ("CSetBoundsImm", cd, cs1, None, imm),
             _ => unreachable!("not a capability-class instruction"),
         };
-        self.writeback(w, rd, &r[..], rd_is_cap.then_some(&rm[..]), mask, costs);
-        Ok(())
-    }
-
-    /// The warp-wide fast path: one capability computation per warp.
-    fn exec_cap_fast(
-        &mut self,
-        w: u32,
-        sel: &Selection,
-        instr: Instr,
-        costs: &mut Costs,
-    ) -> Result<(), RunError> {
-        let mask = sel.mask;
-        // Shape shared by the binary capability ops: histogram attribution,
-        // uniform capability (+ scalar) operands, one computation, compact
-        // cap-result commit. `CSetBounds*` additionally round-trip the SFU.
-        let mut binary = |sm: &mut Self,
-                          name: &'static str,
-                          cs1: Reg,
-                          rs2: Option<Reg>,
-                          cd: Reg,
-                          sfu: bool,
-                          f: &dyn Fn(CapPipe, u32) -> CapPipe| {
-            sm.stats.count_cheri(name, 1);
-            let (d, m) = sm.read_cap_compact(w, cs1, costs);
-            let b = match rs2 {
-                Some(reg) => expect_uniform(&sm.read_data_compact(w, reg, costs)),
-                None => 0,
-            };
-            let cap = f(Self::cap_of(expect_uniform(&m), expect_uniform(&d)), b as u32);
-            if sfu {
-                sm.cap_sfu_suspend(w, sel);
-            }
-            sm.writeback_cap_uniform(w, cd, cap, mask, costs);
+        // One lane of the binary op: source capability and scalar operand
+        // (register value or immediate).
+        let op = |c: CapPipe, b: u32| match instr {
+            Instr::CAndPerm { .. } => c.and_perm(Perms::from_bits(b as u16)),
+            Instr::CSetFlags { .. } => c.set_flags(b & 1 == 1),
+            Instr::CSetAddr { .. } => c.set_addr(b),
+            Instr::CIncOffset { .. } | Instr::CIncOffsetImm { .. } => c.inc_offset(b),
+            Instr::CSetBounds { .. } | Instr::CSetBoundsImm { .. } => c.set_bounds(b).0,
+            _ => c.set_bounds_exact(b),
         };
-        match instr {
-            Instr::CapUnary { op, rd, cs1 } => self.exec_cap_unary_fast(w, sel, op, rd, cs1, costs),
-            Instr::CAndPerm { cd, cs1, rs2 } => {
-                binary(self, "CAndPerm", cs1, Some(rs2), cd, false, &|c, b| {
-                    c.and_perm(Perms::from_bits(b as u16))
-                });
+        self.stats.count_cheri(name, 1);
+        let (d, m) = self.read_cap(w, cs1, a, am, costs);
+        let y = match rs2 {
+            Some(reg) => self.read_data(w, reg, b, costs),
+            None => OperandVec::Uniform(u64::from(imm)),
+        };
+        if matches!(instr, Instr::CSetBoundsExact { .. }) {
+            // Check phase: a tagged, unsealed source with an
+            // unrepresentable request raises InexactBounds; no lane
+            // commits if any lane faults.
+            let inexact = ev.eval([d, m, y], false, bm, |[d, m, y]| {
+                let cap = Self::cap_of(m, d);
+                u64::from(cap.tag() && !cap.is_sealed() && !cap.set_bounds(y as u32).1)
+            });
+            let faults = ev.active().filter(|&i| inexact.lane(i) != 0).map(|i| LaneFault {
+                lane: i as u32,
+                cause: TrapCause::Cheri(CapException::InexactBounds),
+            });
+            if let Some(t) = Trap::from_lane_faults(w, sel.pc, faults.collect()) {
+                return Err(t.into());
             }
-            Instr::CSetFlags { cd, cs1, rs2 } => {
-                binary(self, "CSetFlags", cs1, Some(rs2), cd, false, &|c, b| {
-                    c.set_flags(b & 1 == 1)
-                });
-            }
-            Instr::CSetAddr { cd, cs1, rs2 } => {
-                binary(self, "CSetAddr", cs1, Some(rs2), cd, false, &|c, b| c.set_addr(b));
-            }
-            Instr::CIncOffset { cd, cs1, rs2 } => {
-                binary(self, "CIncOffset", cs1, Some(rs2), cd, false, &|c, b| c.inc_offset(b));
-            }
-            Instr::CIncOffsetImm { cd, cs1, imm } => {
-                binary(self, "CIncOffsetImm", cs1, None, cd, false, &|c, _| {
-                    c.inc_offset(imm as u32)
-                });
-            }
-            Instr::CSetBounds { cd, cs1, rs2 } => {
-                binary(self, "CSetBounds", cs1, Some(rs2), cd, true, &|c, b| c.set_bounds(b).0);
-            }
-            Instr::CSetBoundsExact { cd, cs1, rs2 } => {
-                // Special-cased outside `binary`: the warp-uniform source
-                // means one representability verdict covers every lane, and
-                // an inexact request traps warp-wide before the commit.
-                self.stats.count_cheri("CSetBoundsExact", 1);
-                let (d, m) = self.read_cap_compact(w, cs1, costs);
-                let b = expect_uniform(&self.read_data_compact(w, rs2, costs)) as u32;
-                let cap = Self::cap_of(expect_uniform(&m), expect_uniform(&d));
-                let (_, exact) = cap.set_bounds(b);
-                if cap.tag() && !cap.is_sealed() && !exact {
-                    return Err(Trap::warp_wide(
-                        w,
-                        sel.mask,
-                        sel.pc,
-                        TrapCause::Cheri(CapException::InexactBounds),
-                    )
-                    .into());
-                }
-                self.cap_sfu_suspend(w, sel);
-                self.writeback_cap_uniform(w, cd, cap.set_bounds_exact(b), mask, costs);
-            }
-            Instr::CSetBoundsImm { cd, cs1, imm } => {
-                binary(self, "CSetBoundsImm", cs1, None, cd, true, &|c, _| c.set_bounds(imm).0);
-            }
-            Instr::CSpecialRw { cd, scr: s, .. } => {
-                self.stats.count_cheri("CSpecialRW", 1);
-                let cap = self.scr_cap(sel, s);
-                self.writeback_cap_uniform(w, cd, cap, mask, costs);
-            }
-            _ => unreachable!("not a capability-class instruction"),
         }
+        let (v, vm) = ev.eval_cap([d, m, y], r, rm, |[d, m, y]| {
+            let (m, d) = Self::cap_parts(op(Self::cap_of(m, d), y as u32));
+            (d, m)
+        });
+        if matches!(
+            instr,
+            Instr::CSetBounds { .. } | Instr::CSetBoundsExact { .. } | Instr::CSetBoundsImm { .. }
+        ) {
+            self.cap_sfu_suspend(w, sel);
+        }
+        self.writeback(w, cd, v, Some(vm), sel.mask, costs);
         Ok(())
     }
 
@@ -304,18 +141,31 @@ impl Sm {
         }
     }
 
-    /// Commit a warp-uniform capability result compactly.
-    fn writeback_cap_uniform(
-        &mut self,
-        w: u32,
-        cd: Reg,
-        cap: CapPipe,
-        mask: u64,
-        costs: &mut Costs,
-    ) {
-        let (m, d) = Self::cap_parts(cap);
-        let meta = OperandVec::Uniform(m);
-        self.writeback_compact(w, cd, &OperandVec::Uniform(d), Some(&meta), mask, costs);
+    /// One lane of a unary capability op over the capability `(d, m)`:
+    /// the `(data, metadata)` result (metadata is null for the queries,
+    /// which write integers).
+    fn cap_unary(op: UnaryCapOp, d: u64, m: u64) -> (u64, u64) {
+        let cap = Self::cap_of(m, d);
+        let int = |v: u64| (v, NULL_META);
+        let capability = |c: CapPipe| {
+            let (m, d) = Self::cap_parts(c);
+            (d, m)
+        };
+        match op {
+            UnaryCapOp::GetTag => int(cap.tag() as u64),
+            UnaryCapOp::GetPerm => int(cap.perms().bits() as u64),
+            UnaryCapOp::GetBase => int(cap.base() as u64),
+            UnaryCapOp::GetLen => int(cap.length().min(u32::MAX as u64)),
+            UnaryCapOp::GetType => int(cap.otype() as u64),
+            UnaryCapOp::GetSealed => int(cap.is_sealed() as u64),
+            UnaryCapOp::GetFlags => int(cap.flag() as u64),
+            UnaryCapOp::GetAddr => int(cap.addr() as u64),
+            UnaryCapOp::Crrl => int(bounds::representable_length(d as u32).min(u32::MAX as u64)),
+            UnaryCapOp::Cram => int(bounds::representable_alignment_mask(d as u32) as u64),
+            UnaryCapOp::ClearTag => capability(cap.clear_tag()),
+            UnaryCapOp::Move => (d, m),
+            UnaryCapOp::SealEntry => capability(cap.seal_entry()),
+        }
     }
 
     /// Trace-histogram name of a unary capability op.
@@ -341,102 +191,5 @@ impl Sm {
     /// offloaded? (The bounds-decoding queries of Section 3.3.)
     fn cap_unary_offloads(op: UnaryCapOp) -> bool {
         matches!(op, UnaryCapOp::GetBase | UnaryCapOp::GetLen | UnaryCapOp::Crrl | UnaryCapOp::Cram)
-    }
-
-    /// Lane-wise unary capability op, filling `r`/`rm` for the common
-    /// writeback tail.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn exec_cap_unary(
-        &mut self,
-        w: u32,
-        sel: &Selection,
-        op: UnaryCapOp,
-        _rd: Reg,
-        cs1: Reg,
-        r: &mut [u64; MAX_LANES],
-        rm: &mut [u64; MAX_LANES],
-        rd_is_cap: &mut bool,
-        costs: &mut Costs,
-    ) {
-        let lanes = self.cfg.lanes as usize;
-        let mask = sel.mask;
-        let mut a = [0u64; MAX_LANES];
-        let mut am = [NULL_META; MAX_LANES];
-        self.read_cap_operand(w, cs1, &mut a, &mut am, costs);
-        self.stats.count_cheri(Self::cap_unary_name(op), 1);
-        for i in (0..lanes).filter(|i| mask >> i & 1 == 1) {
-            let cap = Self::cap_of(am[i], a[i]);
-            match op {
-                UnaryCapOp::GetTag => r[i] = cap.tag() as u64,
-                UnaryCapOp::GetPerm => r[i] = cap.perms().bits() as u64,
-                UnaryCapOp::GetBase => r[i] = cap.base() as u64,
-                UnaryCapOp::GetLen => r[i] = cap.length().min(u32::MAX as u64),
-                UnaryCapOp::GetType => r[i] = cap.otype() as u64,
-                UnaryCapOp::GetSealed => r[i] = cap.is_sealed() as u64,
-                UnaryCapOp::GetFlags => r[i] = cap.flag() as u64,
-                UnaryCapOp::GetAddr => r[i] = cap.addr() as u64,
-                UnaryCapOp::Crrl => {
-                    r[i] = bounds::representable_length(a[i] as u32).min(u32::MAX as u64)
-                }
-                UnaryCapOp::Cram => r[i] = bounds::representable_alignment_mask(a[i] as u32) as u64,
-                UnaryCapOp::ClearTag => {
-                    (rm[i], r[i]) = Self::cap_parts(cap.clear_tag());
-                    *rd_is_cap = true;
-                }
-                UnaryCapOp::Move => {
-                    (rm[i], r[i]) = (am[i], a[i]);
-                    *rd_is_cap = true;
-                }
-                UnaryCapOp::SealEntry => {
-                    (rm[i], r[i]) = Self::cap_parts(cap.seal_entry());
-                    *rd_is_cap = true;
-                }
-            }
-        }
-        if Self::cap_unary_offloads(op) {
-            self.cap_sfu_suspend(w, sel);
-        }
-    }
-
-    /// Warp-wide unary capability op over a uniform capability operand.
-    fn exec_cap_unary_fast(
-        &mut self,
-        w: u32,
-        sel: &Selection,
-        op: UnaryCapOp,
-        rd: Reg,
-        cs1: Reg,
-        costs: &mut Costs,
-    ) {
-        let (d, m) = self.read_cap_compact(w, cs1, costs);
-        let (d, m) = (expect_uniform(&d), expect_uniform(&m));
-        self.stats.count_cheri(Self::cap_unary_name(op), 1);
-        let cap = Self::cap_of(m, d);
-        let (r, rm) = match op {
-            UnaryCapOp::GetTag => (cap.tag() as u64, None),
-            UnaryCapOp::GetPerm => (cap.perms().bits() as u64, None),
-            UnaryCapOp::GetBase => (cap.base() as u64, None),
-            UnaryCapOp::GetLen => (cap.length().min(u32::MAX as u64), None),
-            UnaryCapOp::GetType => (cap.otype() as u64, None),
-            UnaryCapOp::GetSealed => (cap.is_sealed() as u64, None),
-            UnaryCapOp::GetFlags => (cap.flag() as u64, None),
-            UnaryCapOp::GetAddr => (cap.addr() as u64, None),
-            UnaryCapOp::Crrl => (bounds::representable_length(d as u32).min(u32::MAX as u64), None),
-            UnaryCapOp::Cram => (bounds::representable_alignment_mask(d as u32) as u64, None),
-            UnaryCapOp::ClearTag => {
-                let (mm, dd) = Self::cap_parts(cap.clear_tag());
-                (dd, Some(mm))
-            }
-            UnaryCapOp::Move => (d, Some(m)),
-            UnaryCapOp::SealEntry => {
-                let (mm, dd) = Self::cap_parts(cap.seal_entry());
-                (dd, Some(mm))
-            }
-        };
-        if Self::cap_unary_offloads(op) {
-            self.cap_sfu_suspend(w, sel);
-        }
-        let meta = rm.map(OperandVec::Uniform);
-        self.writeback_compact(w, rd, &OperandVec::Uniform(r), meta.as_ref(), sel.mask, costs);
     }
 }

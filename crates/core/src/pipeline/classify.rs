@@ -1,13 +1,15 @@
-//! Issue classification: which execution path a decoded instruction takes.
+//! Issue classification: does an issue execute once per warp?
 //!
 //! The classifier runs in the issue stage *before* execution, over nothing
 //! but the decoded instruction, the active mask and the register file's
 //! compact-form metadata ([`simt_regfile::CompressedRegFile::class_of`] —
 //! a pure peek). Its verdict is recorded on the `issue` trace event and in
-//! [`crate::KernelStats::scalarised_issues`], and the execute stage obeys
-//! the same verdict when picking between the warp-wide fast path and the
-//! lane-wise reference path — so the counter, the event stream and the
-//! executed path can never disagree.
+//! [`crate::KernelStats::scalarised_issues`]. The execute stage has one
+//! path; its evaluation helper ([`super::scalar::Eval`]) picks the
+//! warp-wide or per-lane form from the operands themselves, using the
+//! same linearity predicates, and asserts that a scalarised issue never
+//! evaluates lane by lane — so the counter, the event stream and the
+//! executed form cannot disagree.
 //!
 //! An issue is [`IssueClass::Scalarised`] when execute computes its result
 //! once per warp from compact (uniform/affine) operands:
@@ -32,7 +34,7 @@ use simt_trace::IssueClass;
 
 /// The static half of the scalarisation verdict: what can be decided from
 /// the instruction and the CHERI mode alone, cached per program-ROM slot
-/// at pre-decode time ([`crate::rom`]). `Dynamic` ops still need the
+/// at load time ([`crate::rom`]). `Dynamic` ops still need the
 /// per-issue register-class and mask checks of
 /// [`Sm::dynamic_issue_class`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,9 +51,7 @@ pub(crate) enum StaticClass {
 }
 
 /// Classify the static half of the scalarisation verdict (see
-/// [`StaticClass`]). [`Sm::issue_class`] dispatches through this same
-/// function, so the decode-at-issue path and the pre-decoded ROM agree by
-/// construction.
+/// [`StaticClass`]).
 pub(crate) fn static_issue_class(instr: Instr, cheri: bool) -> StaticClass {
     match instr {
         // Warp-invariant splats (CSRRS is uniform or hart-affine).
@@ -102,7 +102,7 @@ pub(crate) fn static_issue_class(instr: Instr, cheri: bool) -> StaticClass {
 }
 
 /// Does `op` over operand classes `a`/`b` have a warp-wide evaluation that
-/// is exactly congruent (mod 2³²) to the lane-wise one?
+/// is exactly congruent (mod 2³²) to the per-lane one?
 ///
 /// Uniform∘uniform always does (one ALU evaluation). With an affine
 /// operand, only the operations *linear* in each lane value qualify:
@@ -157,17 +157,11 @@ impl Sm {
             }
     }
 
-    /// Classify an issue (see the module docs for the criteria). Pure: no
-    /// register-file or statistics state changes between this peek and the
-    /// execution it governs. Dispatches through [`static_issue_class`] —
-    /// the same split the pre-decoded ROM caches — so the two paths agree
-    /// by construction.
-    pub(crate) fn issue_class(&self, w: u32, sel: &Selection, instr: Instr) -> IssueClass {
-        self.resolve_issue_class(w, sel, instr, static_issue_class(instr, self.cheri()))
-    }
-
-    /// Resolve an issue class from a pre-computed [`StaticClass`]: the
-    /// `Dynamic` case runs the per-issue register-class and mask checks.
+    /// Classify an issue (see the module docs for the criteria) from its
+    /// ROM-cached [`StaticClass`]: the `Dynamic` case runs the per-issue
+    /// register-class and mask checks. Pure: no register-file or
+    /// statistics state changes between this peek and the execution it
+    /// governs.
     pub(crate) fn resolve_issue_class(
         &self,
         w: u32,

@@ -7,13 +7,14 @@
 //! serialisation and capability multi-flit stalls, and the SFU suspension
 //! helpers shared by the op-class handlers.
 //!
-//! Every issue is classified *before* execution (see [`super::classify`])
-//! and the verdict routes it through [`Sm::execute`]: scalarised issues may
-//! take the warp-wide fast path over compact operands (unless the host
-//! disabled it with [`Sm::set_scalarise`]), per-lane issues always take the
-//! lane-wise reference path. The handlers live in [`super::alu`],
-//! [`super::flow`], [`super::sfu`] and [`super::capops`]; memory and
-//! system ops are handled here because they are never scalarised.
+//! Every issue is decoded from the pre-decoded ROM and classified *before*
+//! execution (see [`super::classify`]); [`Sm::execute`] then dispatches it
+//! to its op-class handler in [`super::alu`], [`super::flow`],
+//! [`super::sfu`] or [`super::capops`]. Each handler is written once over
+//! compact operands (see [`super::scalar`]); the classifier's verdict only
+//! rides along so the handlers can assert that a scalarised issue never
+//! falls back to per-lane evaluation. Memory and system ops are handled
+//! here because they are never scalarised.
 
 use super::Costs;
 use crate::config::TrapPolicy;
@@ -22,7 +23,6 @@ use crate::sm::Sm;
 use crate::trap::{RunError, Trap, TrapCause};
 use crate::warp::{Selection, ThreadStatus};
 use simt_isa::{Instr, LoadWidth, Reg, SimtOp};
-use simt_regfile::MAX_LANES;
 use simt_trace::{IssueClass, StallCause, TraceEvent};
 
 impl Sm {
@@ -96,7 +96,7 @@ impl Sm {
         // covers in-range PCs reached on a non-launch PCC. See DESIGN.md
         // §3.3.4 for the ordering rationale.
         let idx = match pc_index(sel.pc) {
-            Some(i) if i < self.imem.len() => i,
+            Some(i) if i < self.rom.ops.len() => i,
             _ => {
                 return Err(Trap::warp_wide(
                     wid,
@@ -117,41 +117,21 @@ impl Sm {
                 return Err(Trap::warp_wide(wid, sel.mask, sel.pc, TrapCause::Cheri(e)).into());
             }
         }
-        // Decode + classify: from the pre-decoded ROM when available (the
-        // cached static class resolves through the same dynamic check),
-        // from instruction memory otherwise. Classification precedes
-        // execution so the event, the counter and the executed path all
-        // report the same verdict.
-        let (instr, class, plan) = match &self.rom {
-            Some(rom) => match rom.ops[idx] {
-                Some(op) => {
-                    (op.instr, self.resolve_issue_class(wid, &sel, op.instr, op.sclass), op.plan)
-                }
-                None => {
-                    return Err(Trap::warp_wide(
-                        wid,
-                        sel.mask,
-                        sel.pc,
-                        TrapCause::IllegalInstr(self.imem_raw[idx]),
-                    )
-                    .into())
-                }
-            },
-            None => match self.imem[idx] {
-                Some(i) => {
-                    (i, self.issue_class(wid, &sel, i), TrapPlan::for_instr(i, self.cheri()))
-                }
-                None => {
-                    return Err(Trap::warp_wide(
-                        wid,
-                        sel.mask,
-                        sel.pc,
-                        TrapCause::IllegalInstr(self.imem_raw[idx]),
-                    )
-                    .into())
-                }
-            },
+        // Decode (from the ROM) + classify: the cached static class
+        // resolves through the dynamic operand check. Classification
+        // precedes execution so the event, the counter and the handlers'
+        // scalarisation assertion all see the same verdict.
+        let Some(op) = self.rom.ops[idx] else {
+            return Err(Trap::warp_wide(
+                wid,
+                sel.mask,
+                sel.pc,
+                TrapCause::IllegalInstr(self.imem_raw[idx]),
+            )
+            .into());
         };
+        let (instr, plan) = (op.instr, op.plan);
+        let class = self.resolve_issue_class(wid, &sel, instr, op.sclass);
 
         // Issue accounting.
         self.cycle += 1;
@@ -203,9 +183,9 @@ impl Sm {
         result
     }
 
-    /// Execute `instr` for the selected threads of warp `w`, honouring the
-    /// issue classifier's verdict: scalarised issues take the warp-wide
-    /// compact path (when enabled), everything else the lane-wise one.
+    /// Execute `instr` for the selected threads of warp `w`. `class` is the
+    /// issue classifier's verdict, which the op-class handlers assert
+    /// against (a scalarised issue never evaluates lane by lane).
     pub(crate) fn execute(
         &mut self,
         w: u32,
@@ -215,7 +195,7 @@ impl Sm {
         plan: TrapPlan,
         costs: &mut Costs,
     ) -> Result<(), RunError> {
-        let fast = self.scalarise && class == IssueClass::Scalarised;
+        let scalarised = class == IssueClass::Scalarised;
         match instr {
             Instr::Lui { .. }
             | Instr::Auipc { .. }
@@ -223,18 +203,18 @@ impl Sm {
             | Instr::Op { .. }
             | Instr::MulDiv { .. }
             | Instr::Csrrs { .. } => {
-                self.exec_alu_class(w, sel, instr, fast, costs);
+                self.exec_alu_class(w, sel, instr, scalarised, costs);
                 Ok(())
             }
             Instr::Jal { .. } | Instr::Jalr { .. } | Instr::Branch { .. } => {
-                self.exec_flow_class(w, sel, instr, fast, costs)
+                self.exec_flow_class(w, sel, instr, scalarised, costs)
             }
             Instr::FOp { .. }
             | Instr::FSqrt { .. }
             | Instr::FCmp { .. }
             | Instr::FCvtWS { .. }
             | Instr::FCvtSW { .. } => {
-                self.exec_sfu_class(w, sel, instr, fast, costs);
+                self.exec_sfu_class(w, sel, instr, scalarised, costs);
                 Ok(())
             }
             Instr::CapUnary { .. }
@@ -246,7 +226,7 @@ impl Sm {
             | Instr::CSetBounds { .. }
             | Instr::CSetBoundsExact { .. }
             | Instr::CSetBoundsImm { .. }
-            | Instr::CSpecialRw { .. } => self.exec_cap_class(w, sel, instr, fast, costs),
+            | Instr::CSpecialRw { .. } => self.exec_cap_class(w, sel, instr, scalarised, costs),
             Instr::Load { .. }
             | Instr::Store { .. }
             | Instr::Clc { .. }
@@ -375,9 +355,7 @@ impl Sm {
                 if cheri {
                     self.stats.count_cheri("CAMO", 1);
                 }
-                let mut b = [0u64; MAX_LANES];
-                self.read_data(w, rs2, &mut b, costs);
-                self.do_amo(w, sel, rs1, rd, op, &b, plan, costs)?;
+                self.do_amo(w, sel, rs1, rd, rs2, op, plan, costs)?;
             }
             _ => unreachable!("not a memory-class instruction"),
         }

@@ -2,19 +2,20 @@
 //!
 //! Under CHERI, `JAL`/`JALR` become `CJAL`/`CJALR`: the link register is a
 //! sealed (sentry) capability and the jump target is fetch-checked against
-//! the unsealed target capability, per lane. The scalarised fast path
-//! covers warp-invariant flow — `JAL` (the target is an immediate),
-//! non-CHERI `JALR` with a uniform base, and branches whose operands are
-//! uniform so the whole warp takes one direction.
+//! the unsealed target capability, per lane. Targets are evaluated once
+//! over compact operands ([`super::scalar::Eval`]): warp-invariant flow —
+//! `JAL`, non-CHERI `JALR` on a uniform base, a branch on uniform operands
+//! — resolves one target for the whole warp, anything else one per lane.
 
-use super::scalar::expect_uniform;
+use super::active_lanes;
+use super::scalar::Eval;
 use super::Costs;
 use crate::exec;
-use crate::sm::Sm;
+use crate::sm::{LaneBufs, Sm};
 use crate::trap::{LaneFault, RunError, Trap, TrapCause};
 use crate::warp::Selection;
-use simt_isa::Instr;
-use simt_regfile::OperandVec;
+use simt_isa::{Instr, Reg};
+use simt_regfile::{OperandVec, MAX_LANES};
 
 impl Sm {
     /// Execute one control-flow instruction.
@@ -27,190 +28,123 @@ impl Sm {
         w: u32,
         sel: &Selection,
         instr: Instr,
-        fast: bool,
-        costs: &mut Costs,
-    ) -> Result<(), RunError> {
-        if fast {
-            self.exec_flow_fast(w, sel, instr, costs);
-            Ok(())
-        } else {
-            self.exec_flow_lanewise(w, sel, instr, costs)
-        }
-    }
-
-    /// The lane-wise reference path. Scratch staleness audit: `a`/`am`/`b`
-    /// are fully overwritten by the operand reads; `next_pc` is explicitly
-    /// re-filled with the sequential PC; `metas` (the spare `bm` scratch) is
-    /// written for every active lane that survives the check phase before
-    /// any lane reads it back; `r`/`rm` are `[..lanes]`-filled when written
-    /// back at all.
-    fn exec_flow_lanewise(
-        &mut self,
-        w: u32,
-        sel: &Selection,
-        instr: Instr,
+        scalarised: bool,
         costs: &mut Costs,
     ) -> Result<(), RunError> {
         let mut bufs = self.take_bufs();
-        let res = self.flow_lanewise_with(&mut bufs, w, sel, instr, costs);
+        let res = self.flow_with(&mut bufs, w, sel, instr, scalarised, costs);
         self.put_bufs(bufs);
         res
     }
 
-    fn flow_lanewise_with(
+    /// Scratch use: `a`/`am`/`b` hold irregular operands and `r` per-lane
+    /// targets, each borrowed only as written; `bm` holds the CJALR
+    /// metadata and `pcs` the per-lane next PCs, both written for every
+    /// active lane before they are read back.
+    fn flow_with(
         &mut self,
-        bufs: &mut crate::sm::LaneBufs,
+        bufs: &mut LaneBufs,
         w: u32,
         sel: &Selection,
         instr: Instr,
+        scalarised: bool,
         costs: &mut Costs,
     ) -> Result<(), RunError> {
-        let lanes = self.cfg.lanes as usize;
-        let mask = sel.mask;
-        let cheri = self.cheri();
-        let crate::sm::LaneBufs { a, am, b, bm: metas, r, rm, pcs: next_pc, .. } = bufs;
-        next_pc[..lanes].fill(sel.pc.wrapping_add(4));
-        let mut rd_is_cap = false;
-
-        macro_rules! active {
-            () => {
-                (0..lanes).filter(|i| mask >> i & 1 == 1)
-            };
-        }
-
-        let write_rd = match instr {
-            Instr::Jal { rd, off } => {
-                if cheri {
-                    self.stats.count_cheri("CJAL", 1);
-                    let link = Self::cap_of(sel.pcc_meta, sel.pc as u64)
-                        .set_addr(sel.pc.wrapping_add(4))
-                        .seal_entry();
-                    let (m, d) = Self::cap_parts(link);
-                    r[..lanes].fill(d);
-                    rm[..lanes].fill(m);
-                    rd_is_cap = true;
-                } else {
-                    r[..lanes].fill(sel.pc.wrapping_add(4) as u64);
-                }
-                let target = sel.pc.wrapping_add(off as u32);
-                for i in active!() {
-                    next_pc[i] = target;
-                }
-                Some(rd)
-            }
-            Instr::Jalr { rd, rs1, off } => {
-                if cheri {
-                    self.stats.count_cheri("CJALR", 1);
-                    self.read_cap_operand(w, rs1, a, am, costs);
-                    // Check phase: fetch-check every active lane's target
-                    // before installing any lane's PCC metadata, so a trap
-                    // leaves the whole warp's PCC state untouched.
-                    let mut faults: Vec<LaneFault> = Vec::new();
-                    for i in active!() {
-                        let cap = Self::cap_of(am[i], a[i]);
-                        let target = (cap.addr().wrapping_add(off as u32)) & !1;
-                        let cap = cap.unseal_sentry();
-                        if let Err(e) = cap.check_fetch(target) {
-                            faults.push(LaneFault { lane: i as u32, cause: TrapCause::Cheri(e) });
-                            continue;
-                        }
-                        let (m, _) = Self::cap_parts(cap);
-                        metas[i] = m;
-                        next_pc[i] = target;
-                    }
-                    if let Some(t) = Trap::from_lane_faults(w, sel.pc, faults) {
-                        return Err(t.into());
-                    }
-                    for i in active!() {
-                        self.warps[w as usize].set_pcc_meta(i, metas[i]);
-                    }
-                    let link = Self::cap_of(sel.pcc_meta, sel.pc as u64)
-                        .set_addr(sel.pc.wrapping_add(4))
-                        .seal_entry();
-                    let (m, d) = Self::cap_parts(link);
-                    r[..lanes].fill(d);
-                    rm[..lanes].fill(m);
-                    rd_is_cap = true;
-                } else {
-                    self.read_data(w, rs1, a, costs);
-                    for i in active!() {
-                        next_pc[i] = (a[i] as u32).wrapping_add(off as u32) & !1;
-                    }
-                    r[..lanes].fill(sel.pc.wrapping_add(4) as u64);
-                }
-                Some(rd)
-            }
-            Instr::Branch { cond, rs1, rs2, off } => {
-                self.read_data(w, rs1, a, costs);
-                self.read_data(w, rs2, b, costs);
-                let target = sel.pc.wrapping_add(off as u32);
-                for i in active!() {
-                    if exec::branch_taken(cond, a[i] as u32, b[i] as u32) {
-                        next_pc[i] = target;
-                    }
-                }
-                None
-            }
-            _ => unreachable!("not a flow-class instruction"),
-        };
-        if let Some(rd) = write_rd {
-            self.writeback(w, rd, &r[..], rd_is_cap.then_some(&rm[..]), mask, costs);
-        }
-        self.advance(w, sel, next_pc, None);
-        Ok(())
-    }
-
-    /// The warp-wide fast path: one target resolution per warp. Never
-    /// reached for CHERI `JALR` (per-lane PCC installation), so it cannot
-    /// trap.
-    fn exec_flow_fast(&mut self, w: u32, sel: &Selection, instr: Instr, costs: &mut Costs) {
-        let mask = sel.mask;
+        let LaneBufs { a, am, b, bm: metas, r, pcs, spare, .. } = bufs;
+        let mut ev = Eval::new(sel.mask, self.cfg.lanes, scalarised, spare);
         let seq = sel.pc.wrapping_add(4);
         match instr {
             Instr::Jal { rd, off } => {
                 if self.cheri() {
                     self.stats.count_cheri("CJAL", 1);
-                    let link = Self::cap_of(sel.pcc_meta, sel.pc as u64).set_addr(seq).seal_entry();
-                    let (m, d) = Self::cap_parts(link);
-                    let meta = OperandVec::Uniform(m);
-                    self.writeback_compact(
-                        w,
-                        rd,
-                        &OperandVec::Uniform(d),
-                        Some(&meta),
-                        mask,
-                        costs,
-                    );
-                } else {
-                    self.writeback_compact(
-                        w,
-                        rd,
-                        &OperandVec::Uniform(seq as u64),
-                        None,
-                        mask,
-                        costs,
-                    );
                 }
-                let target = sel.pc.wrapping_add(off as u32);
-                self.advance_uniform(w, sel, target, None);
+                self.write_link(w, sel, rd, costs);
+                self.advance_uniform(w, sel, sel.pc.wrapping_add(off as u32), None);
+            }
+            Instr::Jalr { rd, rs1, off } if self.cheri() => {
+                self.stats.count_cheri("CJALR", 1);
+                let (d, m) = self.read_cap(w, rs1, a, am, costs);
+                // Check phase: fetch-check every active lane's target
+                // before installing any lane's PCC metadata, so a trap
+                // leaves the whole warp's PCC state untouched.
+                let mut faults: Vec<LaneFault> = Vec::new();
+                for i in ev.active() {
+                    let cap = Self::cap_of(m.lane(i), d.lane(i));
+                    let target = cap.addr().wrapping_add(off as u32) & !1;
+                    let cap = cap.unseal_sentry();
+                    if let Err(e) = cap.check_fetch(target) {
+                        faults.push(LaneFault { lane: i as u32, cause: TrapCause::Cheri(e) });
+                        continue;
+                    }
+                    metas[i] = Self::cap_parts(cap).0;
+                    pcs[i] = target;
+                }
+                if let Some(t) = Trap::from_lane_faults(w, sel.pc, faults) {
+                    return Err(t.into());
+                }
+                for i in ev.active() {
+                    self.warps[w as usize].set_pcc_meta(i, metas[i]);
+                }
+                self.write_link(w, sel, rd, costs);
+                self.advance(w, sel, pcs, None);
             }
             Instr::Jalr { rd, rs1, off } => {
-                let base = expect_uniform(&self.read_data_compact(w, rs1, costs));
-                let target = (base as u32).wrapping_add(off as u32) & !1;
-                self.writeback_compact(w, rd, &OperandVec::Uniform(seq as u64), None, mask, costs);
-                self.advance_uniform(w, sel, target, None);
+                let base = self.read_data(w, rs1, a, costs);
+                let next = ev.eval([base], false, r, |[x]| {
+                    ((x as u32).wrapping_add(off as u32) & !1) as u64
+                });
+                self.write_link(w, sel, rd, costs);
+                self.advance_to(w, sel, next, pcs);
             }
             Instr::Branch { cond, rs1, rs2, off } => {
-                let a = expect_uniform(&self.read_data_compact(w, rs1, costs));
-                let b = expect_uniform(&self.read_data_compact(w, rs2, costs));
-                let next = if exec::branch_taken(cond, a as u32, b as u32) {
-                    sel.pc.wrapping_add(off as u32)
-                } else {
-                    seq
-                };
-                self.advance_uniform(w, sel, next, None);
+                let x = self.read_data(w, rs1, a, costs);
+                let y = self.read_data(w, rs2, b, costs);
+                let target = sel.pc.wrapping_add(off as u32);
+                let next = ev.eval([x, y], false, r, |[x, y]| {
+                    u64::from(if exec::branch_taken(cond, x as u32, y as u32) {
+                        target
+                    } else {
+                        seq
+                    })
+                });
+                self.advance_to(w, sel, next, pcs);
             }
             _ => unreachable!("not a flow-class instruction"),
+        }
+        Ok(())
+    }
+
+    /// Write the link register of a jump: `pc + 4`, under CHERI as a
+    /// sealed-entry capability derived from the PCC.
+    fn write_link(&mut self, w: u32, sel: &Selection, rd: Reg, costs: &mut Costs) {
+        let seq = sel.pc.wrapping_add(4);
+        let (link, meta) = if self.cheri() {
+            let cap = Self::cap_of(sel.pcc_meta, sel.pc as u64).set_addr(seq).seal_entry();
+            let (m, d) = Self::cap_parts(cap);
+            (OperandVec::Uniform(d), Some(OperandVec::Uniform(m)))
+        } else {
+            (OperandVec::Uniform(seq as u64), None)
+        };
+        self.writeback(w, rd, link, meta, sel.mask, costs);
+    }
+
+    /// Commit the next PCs: one warp-wide target takes the memoising
+    /// [`Sm::advance_uniform`], per-lane targets the general
+    /// [`Sm::advance`].
+    fn advance_to(
+        &mut self,
+        w: u32,
+        sel: &Selection,
+        next: OperandVec<'_>,
+        pcs: &mut [u32; MAX_LANES],
+    ) {
+        if let OperandVec::Uniform(pc) = next {
+            self.advance_uniform(w, sel, pc as u32, None);
+        } else {
+            for i in active_lanes(sel.mask, self.cfg.lanes as usize) {
+                pcs[i] = next.lane(i) as u32;
+            }
+            self.advance(w, sel, pcs, None);
         }
     }
 }

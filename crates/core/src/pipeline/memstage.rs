@@ -5,7 +5,7 @@
 //! filter (`stack_cache_hits`), coalescing, tag-cache lookups, DRAM and
 //! scratchpad timing, and the atomic-conflict serialisation model.
 
-use super::Costs;
+use super::{active_lanes, scalar, Costs};
 use crate::exec;
 use crate::rom::TrapPlan;
 use crate::sm::Sm;
@@ -14,7 +14,7 @@ use crate::warp::Selection;
 use cheri_cap::{AccessWidth, CapMem};
 use simt_isa::{LoadWidth, Reg};
 use simt_mem::{map, LaneRequest, MemFault};
-use simt_regfile::{MAX_LANES, NULL_META};
+use simt_regfile::{OperandVec, MAX_LANES, NULL_META};
 use simt_trace::{MemSpace, TraceEvent};
 
 impl Sm {
@@ -43,10 +43,9 @@ impl Sm {
         res
     }
 
-    /// [`Sm::do_load_store`] over the loaned scratch. Staleness audit:
-    /// `addr`(/`addr_m` under CHERI) and `val`(/`val_m`, explicitly nulled
-    /// for the non-CHERI capability-store corner) are fully overwritten by
-    /// the operand reads before use; `eas` is written per active lane in
+    /// [`Sm::do_load_store`] over the loaned scratch. Staleness audit: the
+    /// address and store-value operands borrow `a`/`am`/`b`/`bm` only as
+    /// the operand reads wrote them; `eas` is written per active lane in
     /// the check phase; `results`/`results_m` are written per active lane
     /// in the commit phase and committed under the mask.
     #[allow(clippy::too_many_arguments)]
@@ -71,10 +70,11 @@ impl Sm {
         let cheri = self.cheri();
         debug_assert_eq!(plan.has(TrapPlan::CHERI_ACCESS), cheri);
         let crate::sm::LaneBufs {
-            a: addr,
-            am: addr_m,
-            b: val,
-            bm: val_m,
+            a,
+            am,
+            b,
+            bm,
+            spare: [sa, sam, sb, sbm],
             r: results,
             rm: results_m,
             eas,
@@ -82,23 +82,24 @@ impl Sm {
             scratch_reqs,
             ..
         } = bufs;
-        if cheri {
-            self.read_cap_operand(w, addr_reg, addr, addr_m, costs);
-        } else {
-            self.read_data(w, addr_reg, addr, costs);
-        }
-        if is_store {
-            if is_cap && cheri {
-                self.read_cap_operand(w, store_rs, val, val_m, costs);
-            } else {
-                self.read_data(w, store_rs, val, costs);
-                if is_cap {
-                    // Capability store without CHERI metadata: commit null
-                    // metadata, exactly as the zero-initialised scratch did.
-                    val_m[..lanes].fill(NULL_META);
-                }
+        let (addr, addr_m) = self.read_address(w, addr_reg, a, am, costs);
+        let (addr, addr_m) = (scalar::lanes(addr, sa, lanes), scalar::lanes(addr_m, sam, lanes));
+        // Loads read no value; capability stores without CHERI metadata
+        // commit null metadata.
+        let (val, val_m): (&[u64], &[u64]) = match (is_store, is_cap && cheri) {
+            (false, _) => (&[], &[]),
+            (true, true) => {
+                let (v, m) = self.read_cap(w, store_rs, b, bm, costs);
+                (scalar::lanes(v, sb, lanes), scalar::lanes(m, sbm, lanes))
             }
-        }
+            (true, false) => {
+                let v = self.read_data(w, store_rs, b, costs);
+                (
+                    scalar::lanes(v, sb, lanes),
+                    scalar::lanes(OperandVec::Uniform(NULL_META), sbm, lanes),
+                )
+            }
+        };
 
         // Check phase: effective address, routing, CHERI/bounds-table and
         // mapping checks for *every* active lane. Nothing commits unless
@@ -107,7 +108,7 @@ impl Sm {
         // the op can never need (e.g. the alignment check of a byte
         // access); the probes it keeps behave exactly as before.
         let mut faults: Vec<LaneFault> = Vec::new();
-        for i in (0..lanes).filter(|i| mask >> i & 1 == 1) {
+        for i in active_lanes(mask, lanes) {
             let ea = (addr[i] as u32).wrapping_add(off as u32);
             eas[i] = ea;
             let mut cause = None;
@@ -156,7 +157,7 @@ impl Sm {
         // phase vouched for every lane, so no access below can fault.
         dram_reqs.clear();
         scratch_reqs.clear();
-        for i in (0..lanes).filter(|i| mask >> i & 1 == 1) {
+        for i in active_lanes(mask, lanes) {
             let ea = eas[i];
             let region = map::route(ea, self.cfg.dram_size);
             let req = LaneRequest { addr: ea, bytes };
@@ -178,11 +179,8 @@ impl Sm {
                     }
                     (map::Region::Dram, true, true) => {
                         dram_reqs.push(req);
-                        let c = CapMem::from_parts(
-                            val_m[i] as u32,
-                            val[i] as u32,
-                            val_m[i] >> 32 & 1 == 1,
-                        );
+                        let (d, m) = (val[i], val_m[i]);
+                        let c = CapMem::from_parts(m as u32, d as u32, m >> 32 & 1 == 1);
                         self.mem.write_cap(ea, c)?;
                     }
                     (map::Region::Scratch, false, false) => {
@@ -201,11 +199,8 @@ impl Sm {
                     }
                     (map::Region::Scratch, true, true) => {
                         scratch_reqs.push(req);
-                        let c = CapMem::from_parts(
-                            val_m[i] as u32,
-                            val[i] as u32,
-                            val_m[i] >> 32 & 1 == 1,
-                        );
+                        let (d, m) = (val[i], val_m[i]);
+                        let c = CapMem::from_parts(m as u32, d as u32, m >> 32 & 1 == 1);
                         self.scratch.write_cap(ea, c)?;
                     }
                     _ => return Err(MemFault::Unmapped(ea)),
@@ -222,14 +217,8 @@ impl Sm {
 
         // Writeback.
         if let Some(rd) = load_rd {
-            self.write_data(w, rd, &results[..], mask, costs);
-            if cheri {
-                if is_cap {
-                    self.write_meta(w, rd, &results_m[..], mask, costs);
-                } else {
-                    self.write_meta_null(w, rd, mask, costs);
-                }
-            }
+            let meta = is_cap.then_some(OperandVec::Vector(&results_m[..lanes]));
+            self.writeback(w, rd, OperandVec::Vector(&results[..lanes]), meta, mask, costs);
         }
         Ok(())
     }
@@ -241,22 +230,22 @@ impl Sm {
         sel: &Selection,
         addr_reg: Reg,
         rd: Reg,
+        rs2: Reg,
         op: simt_isa::AmoOp,
-        operands: &[u64; MAX_LANES],
         plan: TrapPlan,
         costs: &mut Costs,
     ) -> Result<(), RunError> {
         let mut bufs = self.take_bufs();
-        let res = self.amo_with(&mut bufs, w, sel, addr_reg, rd, op, operands, plan, costs);
+        let res = self.amo_with(&mut bufs, w, sel, addr_reg, rd, rs2, op, plan, costs);
         self.put_bufs(bufs);
         res
     }
 
-    /// [`Sm::do_amo`] over the loaned scratch. Staleness audit: `addr`
-    /// (/`addr_m` under CHERI) is fully overwritten by the operand read;
-    /// `eas` is written per active lane in the check phase; `results` is
-    /// written per active lane in the commit phase and committed under the
-    /// mask.
+    /// [`Sm::do_amo`] over the loaned scratch. Staleness audit: the operand
+    /// and address borrow `b`/`a`/`am` only as the operand reads wrote
+    /// them; `eas` is written per active lane in the check phase;
+    /// `results` is written per active lane in the commit phase and
+    /// committed under the mask.
     #[allow(clippy::too_many_arguments)]
     fn amo_with(
         &mut self,
@@ -265,34 +254,34 @@ impl Sm {
         sel: &Selection,
         addr_reg: Reg,
         rd: Reg,
+        rs2: Reg,
         op: simt_isa::AmoOp,
-        operands: &[u64; MAX_LANES],
         plan: TrapPlan,
         costs: &mut Costs,
     ) -> Result<(), RunError> {
         let lanes = self.cfg.lanes as usize;
         let mask = sel.mask;
-        let cheri = self.cheri();
-        debug_assert_eq!(plan.has(TrapPlan::CHERI_ACCESS), cheri);
+        debug_assert_eq!(plan.has(TrapPlan::CHERI_ACCESS), self.cheri());
         let crate::sm::LaneBufs {
-            a: addr,
-            am: addr_m,
+            a,
+            am,
+            b,
+            spare: [sa, sam, sb, _],
             r: results,
             eas,
             dram_reqs,
             scratch_reqs,
             ..
         } = bufs;
-        if cheri {
-            self.read_cap_operand(w, addr_reg, addr, addr_m, costs);
-        } else {
-            self.read_data(w, addr_reg, addr, costs);
-        }
+        let operands = self.read_data(w, rs2, b, costs);
+        let (addr, addr_m) = self.read_address(w, addr_reg, a, am, costs);
+        let operands = scalar::lanes(operands, sb, lanes);
+        let (addr, addr_m) = (scalar::lanes(addr, sa, lanes), scalar::lanes(addr_m, sam, lanes));
         // Check phase: an AMO both loads and stores, so every active lane
         // passes both CHERI checks plus the mapping probe before any lane's
         // read-modify-write commits.
         let mut faults: Vec<LaneFault> = Vec::new();
-        for i in (0..lanes).filter(|i| mask >> i & 1 == 1) {
+        for i in active_lanes(mask, lanes) {
             let mut ea = addr[i] as u32;
             let mut cause = None;
             if plan.has(TrapPlan::CHERI_ACCESS) {
@@ -331,7 +320,7 @@ impl Sm {
         scratch_reqs.clear();
         // Commit phase. Lanes perform their RMW in lane order, which defines
         // the intra-warp atomicity order.
-        for i in (0..lanes).filter(|i| mask >> i & 1 == 1) {
+        for i in active_lanes(mask, lanes) {
             let ea = eas[i];
             let req = LaneRequest { addr: ea, bytes: 4 };
             let region = map::route(ea, self.cfg.dram_size);
@@ -375,11 +364,25 @@ impl Sm {
             self.warps[w as usize].ready_at =
                 self.warps[w as usize].ready_at.max(self.cycle + conflicts);
         }
-        self.write_data(w, rd, &results[..], mask, costs);
-        if cheri {
-            self.write_meta_null(w, rd, mask, costs);
-        }
+        self.writeback(w, rd, OperandVec::Vector(&results[..lanes]), None, mask, costs);
         Ok(())
+    }
+
+    /// The address operand of a memory op: a capability under CHERI, an
+    /// integer (with null metadata) otherwise.
+    fn read_address<'a>(
+        &mut self,
+        w: u32,
+        reg: Reg,
+        data: &'a mut [u64],
+        meta: &'a mut [u64],
+        costs: &mut Costs,
+    ) -> (OperandVec<'a>, OperandVec<'a>) {
+        if self.cheri() {
+            self.read_cap(w, reg, data, meta, costs)
+        } else {
+            (self.read_data(w, reg, data, costs), OperandVec::Uniform(NULL_META))
+        }
     }
 
     /// Charge the timing/traffic of one warp-wide memory access and suspend

@@ -5,21 +5,22 @@
 //!
 //! * [`schedule`] — barrel scheduler: round-robin warp pick, active-thread
 //!   selection, barrier release, idle accounting, deadlock detection.
-//! * [`operands`] — operand collection: data/metadata register-file reads
-//!   (lane-wise and compact), the shared-VRF serialisation penalty,
-//!   capability marshalling.
+//! * [`operands`] — operand collection: the one data read and the one
+//!   capability read, both in compact `OperandVec` form, the shared-VRF
+//!   serialisation penalty, capability marshalling.
 //! * [`classify`] — pre-execute issue classification: scalarised
 //!   (warp-wide over compact operands) versus per-lane, recorded on the
 //!   issue event and `scalarised_issues`.
-//! * [`execute`] — fetch check, issue accounting and dispatch to the
-//!   op-class handlers; owns the memory/system classes.
+//! * [`execute`] — fetch (from the pre-decoded ROM), issue accounting and
+//!   dispatch to the op-class handlers; owns the memory/system classes.
 //! * [`alu`] / [`flow`] / [`sfu`] / [`capops`] — the op-class handlers,
-//!   each with a bit-identical lane-wise reference path and warp-wide
-//!   fast path (see [`scalar`] for the compact arithmetic).
+//!   each op written once over compact operands and evaluated by
+//!   [`scalar`]'s helper: once per warp, by two-lane affine sampling, or
+//!   lane by lane, as the operands allow.
 //! * [`memstage`] — the memory stage: coalescer → tag controller → DRAM
 //!   and the banked scratchpad, plus the compressed stack cache filter.
-//! * [`writeback`] — register writeback (spill/fill costing, lane-wise and
-//!   compact) and PC/status commit.
+//! * [`writeback`] — the one register writeback (compact, with spill/fill
+//!   costing) and PC/status commit.
 //!
 //! `Sm` itself (in [`crate::sm`]) keeps only the state and the host API;
 //! the stages reach into its `pub(crate)` fields exactly as the monolithic
@@ -38,6 +39,17 @@ pub(crate) mod sfu;
 pub(crate) mod writeback;
 
 use simt_regfile::{ReadInfo, WriteInfo};
+
+/// The set lanes of `mask` below `lanes`, in ascending order (one bit scan
+/// per active lane, not a test per lane).
+pub(crate) fn active_lanes(mask: u64, lanes: usize) -> impl Iterator<Item = usize> {
+    let mut rest = mask & (u64::MAX >> (64 - lanes));
+    std::iter::from_fn(move || {
+        let i = rest.trailing_zeros() as usize;
+        rest &= rest.wrapping_sub(1);
+        (i < 64).then_some(i)
+    })
+}
 
 /// What one scheduler step did (see [`schedule`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

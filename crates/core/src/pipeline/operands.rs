@@ -1,15 +1,16 @@
 //! Operand-collection stage: register-file reads.
 //!
-//! Owns the data/metadata RF read paths (including the NVO scalar path
-//! inside the compressed register file), the shared-VRF serialisation
-//! penalty and its `shared_vrf_conflict` counter, and the
-//! capability-marshalling helpers shared by every stage downstream.
+//! Owns the one data read and the one capability (data + metadata) read,
+//! both in compact [`OperandVec`] form (the NVO scalar path lives inside
+//! the compressed register file), the shared-VRF serialisation penalty and
+//! its `shared_vrf_conflict` counter, and the capability-marshalling
+//! helpers shared by every stage downstream.
 
 use super::Costs;
 use crate::sm::Sm;
 use cheri_cap::{CapMem, CapPipe};
 use simt_isa::Reg;
-use simt_regfile::{OperandVec, ReadInfo, MAX_LANES, NULL_META};
+use simt_regfile::{OperandVec, NULL_META};
 use simt_trace::StallCause;
 
 impl Sm {
@@ -17,117 +18,54 @@ impl Sm {
         self.opts.is_some()
     }
 
-    pub(crate) fn read_data(
+    /// Read a data operand in compact form: an SRF entry comes back as
+    /// `Uniform`/`Affine` with no lane expansion, anything else is expanded
+    /// into `buf` (`x0` reads as uniform 0). Spill/fill costs are charged
+    /// to `costs`.
+    pub(crate) fn read_data<'a>(
         &mut self,
         w: u32,
         reg: Reg,
-        out: &mut [u64; MAX_LANES],
+        buf: &'a mut [u64],
         costs: &mut Costs,
-    ) -> ReadInfo {
-        if reg.is_zero() {
-            out[..self.cfg.lanes as usize].fill(0);
-            return ReadInfo::default();
-        }
-        let info = self.data_rf.read(w, reg.index() as u32, out);
-        costs.add_read(self.cfg.timing.spill_cycles, self.cfg.lanes, info);
-        info
-    }
-
-    pub(crate) fn read_meta(
-        &mut self,
-        w: u32,
-        reg: Reg,
-        out: &mut [u64; MAX_LANES],
-        costs: &mut Costs,
-    ) -> ReadInfo {
-        if reg.is_zero() {
-            out[..self.cfg.lanes as usize].fill(NULL_META);
-            return ReadInfo::default();
-        }
-        let lanes = self.cfg.lanes;
-        let spill = self.cfg.timing.spill_cycles;
-        match self.meta_rf.as_mut() {
-            Some(rf) => {
-                let info = rf.read(w, reg.index() as u32, out);
-                costs.add_read(spill, lanes, info);
-                info
-            }
-            None => {
-                out[..lanes as usize].fill(NULL_META);
-                ReadInfo::default()
-            }
-        }
-    }
-
-    /// Compact read of a data operand: the stored register-file form
-    /// without lane expansion. Cost accounting matches [`Sm::read_data`]
-    /// exactly (compact entries never spill or fill, so on the scalarised
-    /// path this is free, as the lane-wise read of the same entry is).
-    pub(crate) fn read_data_compact(&mut self, w: u32, reg: Reg, costs: &mut Costs) -> OperandVec {
+    ) -> OperandVec<'a> {
         if reg.is_zero() {
             return OperandVec::Uniform(0);
         }
-        let (v, info) = self.data_rf.read_compact(w, reg.index() as u32);
+        let (v, info) = self.data_rf.read_compact(w, reg.index() as u32, buf);
         costs.add_read(self.cfg.timing.spill_cycles, self.cfg.lanes, info);
         v
     }
 
-    /// Compact read of a full capability operand (data + metadata), the
-    /// counterpart of [`Sm::read_cap_operand`] including its shared-VRF
-    /// serialisation penalty (which cannot fire for the compact entries the
-    /// issue classifier admits, but the bookkeeping stays in one shape).
-    pub(crate) fn read_cap_compact(
+    /// Read a full capability operand in compact form — data (address)
+    /// into `data`, metadata into `meta` (uniformly null without a metadata
+    /// register file) — with the shared-VRF serialisation penalty when
+    /// both halves come from the VRF.
+    pub(crate) fn read_cap<'a>(
         &mut self,
         w: u32,
         reg: Reg,
+        data: &'a mut [u64],
+        meta: &'a mut [u64],
         costs: &mut Costs,
-    ) -> (OperandVec, OperandVec) {
+    ) -> (OperandVec<'a>, OperandVec<'a>) {
+        let null = (OperandVec::Uniform(0), OperandVec::Uniform(NULL_META));
+        if reg.is_zero() {
+            return null;
+        }
         let lanes = self.cfg.lanes;
         let spill = self.cfg.timing.spill_cycles;
-        let (d, di) = if reg.is_zero() {
-            (OperandVec::Uniform(0), ReadInfo::default())
-        } else {
-            let (v, info) = self.data_rf.read_compact(w, reg.index() as u32);
-            costs.add_read(spill, lanes, info);
-            (v, info)
-        };
-        let (m, mi) = match self.meta_rf.as_mut() {
-            Some(rf) if !reg.is_zero() => {
-                let (v, info) = rf.read_compact(w, reg.index() as u32);
-                costs.add_read(spill, lanes, info);
-                (v, info)
-            }
-            _ => (OperandVec::Uniform(NULL_META), ReadInfo::default()),
-        };
-        if let Some(o) = self.opts {
-            if o.shared_vrf && di.from_vrf && mi.from_vrf {
-                costs.extra_cycles += 1;
-                self.stats.stalls.shared_vrf_conflict += 1;
-                self.emit_stall(w, StallCause::SharedVrfConflict, 1);
-            }
+        let (d, di) = self.data_rf.read_compact(w, reg.index() as u32, data);
+        costs.add_read(spill, lanes, di);
+        let Some(rf) = self.meta_rf.as_mut() else { return (d, null.1) };
+        let (m, mi) = rf.read_compact(w, reg.index() as u32, meta);
+        costs.add_read(spill, lanes, mi);
+        if self.opts.is_some_and(|o| o.shared_vrf) && di.from_vrf && mi.from_vrf {
+            costs.extra_cycles += 1;
+            self.stats.stalls.shared_vrf_conflict += 1;
+            self.emit_stall(w, StallCause::SharedVrfConflict, 1);
         }
         (d, m)
-    }
-
-    /// Read a full capability operand: data (address) + metadata, with the
-    /// shared-VRF serialisation penalty when both halves are uncompressed.
-    pub(crate) fn read_cap_operand(
-        &mut self,
-        w: u32,
-        reg: Reg,
-        data: &mut [u64; MAX_LANES],
-        meta: &mut [u64; MAX_LANES],
-        costs: &mut Costs,
-    ) {
-        let d = self.read_data(w, reg, data, costs);
-        let m = self.read_meta(w, reg, meta, costs);
-        if let Some(o) = self.opts {
-            if o.shared_vrf && d.from_vrf && m.from_vrf {
-                costs.extra_cycles += 1;
-                self.stats.stalls.shared_vrf_conflict += 1;
-                self.emit_stall(w, StallCause::SharedVrfConflict, 1);
-            }
-        }
     }
 
     // ---- Capability marshalling ----

@@ -7,8 +7,7 @@
 //!
 //! # Basic-block runs
 //!
-//! With the pre-decoded ROM available, one step may retire a whole
-//! straight-line run: after issuing warp `w`, the scheduler re-issues `w`
+//! One step may retire a whole straight-line run of the pre-decoded ROM: after issuing warp `w`, the scheduler re-issues `w`
 //! directly — skipping the pick scan, the barrier-release pass and
 //! active-thread selection — for as long as re-issuing `w` is exactly what
 //! the per-issue dispatcher would have decided. That holds iff, each
@@ -30,8 +29,8 @@
 //! block cannot release, and any block releasable before the run was
 //! released by the pass that preceded it. Each issue still runs the full
 //! fetch/classify/execute/account path, so trace events, statistics and
-//! architectural state are bit-identical with block runs disabled — the
-//! differential suite pins this.
+//! architectural state are those of per-issue dispatch. The golden digests
+//! pin both: single-SM runs use block runs, multi-SM runs never do.
 
 use super::StepOutcome;
 use crate::rom::pc_index;
@@ -42,8 +41,8 @@ use simt_trace::{StallCause, TraceEvent, NO_WARP};
 
 impl Sm {
     /// One scheduler step: release barriers, pick a ready warp round-robin
-    /// and issue it (plus, with the pre-decoded ROM, the rest of its
-    /// straight-line run), or advance time to the next resume point.
+    /// and issue it (plus the rest of its straight-line run), or advance
+    /// time to the next resume point.
     ///
     /// # Errors
     ///
@@ -158,7 +157,7 @@ impl Sm {
         mut pre_suppressed: usize,
         max_cycles: u64,
     ) -> Result<(), RunError> {
-        if !self.block_runs || self.rom.is_none() {
+        if !self.block_runs {
             return Ok(());
         }
         loop {
@@ -167,16 +166,16 @@ impl Sm {
             if self.suppressed.len() != pre_suppressed {
                 return Ok(());
             }
-            let rom = self.rom.as_ref().expect("checked on entry");
             let Some(idx) = pc_index(sel.pc) else { return Ok(()) };
-            let straight = match rom.ops.get(idx) {
+            let ops = &self.rom.ops;
+            let straight = match ops.get(idx) {
                 Some(Some(op)) => op.straight,
                 _ => false,
             };
             if !straight {
                 return Ok(());
             }
-            match rom.ops.get(idx + 1) {
+            match ops.get(idx + 1) {
                 Some(Some(next)) if !next.leader => {}
                 _ => return Ok(()),
             }

@@ -1,17 +1,17 @@
 //! Floating-point op class: lane FP ALU plus SFU round-trips for the
 //! long-latency operations (`FDIV`, `FSQRT`).
 //!
-//! The scalarised fast path evaluates one FP operation per warp when every
-//! operand is uniform; the SFU suspension (which charges per *active lane*)
-//! is identical on both paths.
+//! Each op is written once over compact operands and evaluated by
+//! [`super::scalar::Eval`]: once per warp when every operand is uniform,
+//! lane by lane otherwise. The SFU suspension charges per *active lane*
+//! either way.
 
-use super::scalar::expect_uniform;
+use super::scalar::Eval;
 use super::Costs;
 use crate::exec;
-use crate::sm::Sm;
+use crate::sm::{LaneBufs, Sm};
 use crate::warp::Selection;
-use simt_isa::Instr;
-use simt_regfile::OperandVec;
+use simt_isa::{FpOp, Instr};
 
 impl Sm {
     /// Execute one FP-class instruction (always writes `rd`, never traps,
@@ -21,125 +21,57 @@ impl Sm {
         w: u32,
         sel: &Selection,
         instr: Instr,
-        fast: bool,
+        scalarised: bool,
         costs: &mut Costs,
     ) {
-        if fast {
-            self.exec_sfu_fast(w, sel, instr, costs);
-        } else {
-            self.exec_sfu_lanewise(w, sel, instr, costs);
-        }
+        let mut bufs = self.take_bufs();
+        self.sfu_with(&mut bufs, w, sel, instr, scalarised, costs);
+        self.put_bufs(bufs);
         self.advance_uniform(w, sel, sel.pc.wrapping_add(4), None);
     }
 
-    /// The lane-wise reference path. Scratch staleness audit: `a`/`b` are
-    /// fully overwritten by `read_data`; `r` is written per active lane and
-    /// committed under the mask.
-    fn exec_sfu_lanewise(&mut self, w: u32, sel: &Selection, instr: Instr, costs: &mut Costs) {
-        let mut bufs = self.take_bufs();
-        self.sfu_lanewise_with(&mut bufs, w, sel, instr, costs);
-        self.put_bufs(bufs);
-    }
-
-    fn sfu_lanewise_with(
+    fn sfu_with(
         &mut self,
-        bufs: &mut crate::sm::LaneBufs,
+        bufs: &mut LaneBufs,
         w: u32,
         sel: &Selection,
         instr: Instr,
+        scalarised: bool,
         costs: &mut Costs,
     ) {
-        let lanes = self.cfg.lanes as usize;
-        let mask = sel.mask;
-        let crate::sm::LaneBufs { a, b, r, .. } = bufs;
-
-        macro_rules! active {
-            () => {
-                (0..lanes).filter(|i| mask >> i & 1 == 1)
-            };
+        let LaneBufs { a, b, r, spare, .. } = bufs;
+        let mut ev = Eval::new(sel.mask, self.cfg.lanes, scalarised, spare);
+        let (rd, v, sfu) = match instr {
+            Instr::FOp { op, rd, rs1, rs2 } => {
+                let x = self.read_data(w, rs1, a, costs);
+                let y = self.read_data(w, rs2, b, costs);
+                let v = ev.eval([x, y], false, r, |[x, y]| exec::fp(op, x as u32, y as u32) as u64);
+                (rd, v, op == FpOp::Div)
+            }
+            Instr::FSqrt { rd, rs1 } => {
+                let x = self.read_data(w, rs1, a, costs);
+                (rd, ev.eval([x], false, r, |[x]| exec::fsqrt(x as u32) as u64), true)
+            }
+            Instr::FCmp { op, rd, rs1, rs2 } => {
+                let x = self.read_data(w, rs1, a, costs);
+                let y = self.read_data(w, rs2, b, costs);
+                let v =
+                    ev.eval([x, y], false, r, |[x, y]| exec::fcmp(op, x as u32, y as u32) as u64);
+                (rd, v, false)
+            }
+            Instr::FCvtWS { rd, rs1, signed } => {
+                let x = self.read_data(w, rs1, a, costs);
+                (rd, ev.eval([x], false, r, |[x]| exec::fcvt_ws(x as u32, signed) as u64), false)
+            }
+            Instr::FCvtSW { rd, rs1, signed } => {
+                let x = self.read_data(w, rs1, a, costs);
+                (rd, ev.eval([x], false, r, |[x]| exec::fcvt_sw(x as u32, signed) as u64), false)
+            }
+            _ => unreachable!("not an FP-class instruction"),
+        };
+        if sfu {
+            self.sfu_suspend(w, sel);
         }
-
-        let rd = match instr {
-            Instr::FOp { op, rd, rs1, rs2 } => {
-                self.read_data(w, rs1, a, costs);
-                self.read_data(w, rs2, b, costs);
-                for i in active!() {
-                    r[i] = exec::fp(op, a[i] as u32, b[i] as u32) as u64;
-                }
-                if op == simt_isa::FpOp::Div {
-                    self.sfu_suspend(w, sel);
-                }
-                rd
-            }
-            Instr::FSqrt { rd, rs1 } => {
-                self.read_data(w, rs1, a, costs);
-                for i in active!() {
-                    r[i] = exec::fsqrt(a[i] as u32) as u64;
-                }
-                self.sfu_suspend(w, sel);
-                rd
-            }
-            Instr::FCmp { op, rd, rs1, rs2 } => {
-                self.read_data(w, rs1, a, costs);
-                self.read_data(w, rs2, b, costs);
-                for i in active!() {
-                    r[i] = exec::fcmp(op, a[i] as u32, b[i] as u32) as u64;
-                }
-                rd
-            }
-            Instr::FCvtWS { rd, rs1, signed } => {
-                self.read_data(w, rs1, a, costs);
-                for i in active!() {
-                    r[i] = exec::fcvt_ws(a[i] as u32, signed) as u64;
-                }
-                rd
-            }
-            Instr::FCvtSW { rd, rs1, signed } => {
-                self.read_data(w, rs1, a, costs);
-                for i in active!() {
-                    r[i] = exec::fcvt_sw(a[i] as u32, signed) as u64;
-                }
-                rd
-            }
-            _ => unreachable!("not an FP-class instruction"),
-        };
-        self.writeback(w, rd, &r[..], None, mask, costs);
-    }
-
-    /// The warp-wide fast path (uniform operands only).
-    fn exec_sfu_fast(&mut self, w: u32, sel: &Selection, instr: Instr, costs: &mut Costs) {
-        let mask = sel.mask;
-        let (rd, v) = match instr {
-            Instr::FOp { op, rd, rs1, rs2 } => {
-                let a = expect_uniform(&self.read_data_compact(w, rs1, costs));
-                let b = expect_uniform(&self.read_data_compact(w, rs2, costs));
-                let v = exec::fp(op, a as u32, b as u32) as u64;
-                if op == simt_isa::FpOp::Div {
-                    self.sfu_suspend(w, sel);
-                }
-                (rd, v)
-            }
-            Instr::FSqrt { rd, rs1 } => {
-                let a = expect_uniform(&self.read_data_compact(w, rs1, costs));
-                let v = exec::fsqrt(a as u32) as u64;
-                self.sfu_suspend(w, sel);
-                (rd, v)
-            }
-            Instr::FCmp { op, rd, rs1, rs2 } => {
-                let a = expect_uniform(&self.read_data_compact(w, rs1, costs));
-                let b = expect_uniform(&self.read_data_compact(w, rs2, costs));
-                (rd, exec::fcmp(op, a as u32, b as u32) as u64)
-            }
-            Instr::FCvtWS { rd, rs1, signed } => {
-                let a = expect_uniform(&self.read_data_compact(w, rs1, costs));
-                (rd, exec::fcvt_ws(a as u32, signed) as u64)
-            }
-            Instr::FCvtSW { rd, rs1, signed } => {
-                let a = expect_uniform(&self.read_data_compact(w, rs1, costs));
-                (rd, exec::fcvt_sw(a as u32, signed) as u64)
-            }
-            _ => unreachable!("not an FP-class instruction"),
-        };
-        self.writeback_compact(w, rd, &OperandVec::Uniform(v), None, mask, costs);
+        self.writeback(w, rd, v, None, sel.mask, costs);
     }
 }

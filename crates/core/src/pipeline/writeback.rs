@@ -1,150 +1,43 @@
 //! Writeback stage: register-file writes and PC/status commit.
 //!
-//! Owns the data/metadata write paths (spill/fill costing, traced RF
-//! writes) and the final commit of per-thread PCs and status changes.
+//! Owns the one result write (data plus capability metadata, in compact
+//! form, with spill/fill costing and traced RF writes) and the final
+//! commit of per-thread PCs and status changes.
 
-use super::Costs;
+use super::{active_lanes, Costs};
 use crate::sm::Sm;
 use crate::warp::{Selection, ThreadStatus};
 use simt_isa::Reg;
 use simt_regfile::{OperandVec, MAX_LANES, NULL_META};
+use simt_trace::EventSink;
 
 impl Sm {
-    pub(crate) fn write_data(
-        &mut self,
-        w: u32,
-        rd: Reg,
-        vals: &[u64],
-        mask: u64,
-        costs: &mut Costs,
-    ) {
-        if rd.is_zero() {
-            return;
-        }
-        let info = match self.sink.as_deref_mut() {
-            Some(sink) => {
-                self.data_rf.write_traced(w, rd.index() as u32, vals, mask, self.cycle, sink)
-            }
-            None => self.data_rf.write(w, rd.index() as u32, vals, mask),
-        };
-        costs.add_write(self.cfg.timing.spill_cycles, self.cfg.lanes, info);
-    }
-
-    pub(crate) fn write_meta(
-        &mut self,
-        w: u32,
-        rd: Reg,
-        vals: &[u64],
-        mask: u64,
-        costs: &mut Costs,
-    ) {
-        if rd.is_zero() {
-            return;
-        }
-        let lanes = self.cfg.lanes;
-        let spill = self.cfg.timing.spill_cycles;
-        let cycle = self.cycle;
-        if let Some(rf) = self.meta_rf.as_mut() {
-            let info = match self.sink.as_deref_mut() {
-                Some(sink) => rf.write_traced(w, rd.index() as u32, vals, mask, cycle, sink),
-                None => rf.write(w, rd.index() as u32, vals, mask),
-            };
-            costs.add_write(spill, lanes, info);
-        }
-    }
-
-    pub(crate) fn write_meta_null(&mut self, w: u32, rd: Reg, mask: u64, costs: &mut Costs) {
-        if self.cheri() {
-            let nulls = [NULL_META; MAX_LANES];
-            self.write_meta(w, rd, &nulls, mask, costs);
-        }
-    }
-
-    /// The common result-commit tail of the lane-wise execute path: data
-    /// write plus (under CHERI) the matching metadata — `rm` for
-    /// capability results, null metadata otherwise.
+    /// Commit a result to `rd` under `mask`: the data write plus, under
+    /// CHERI, the metadata write — `meta` for capability results, null
+    /// metadata otherwise. Compact results go straight to the SRF; the
+    /// register file costs spills and fills into `costs` and, with a sink
+    /// attached, emits residency transitions.
     pub(crate) fn writeback(
         &mut self,
         w: u32,
         rd: Reg,
-        r: &[u64],
-        rm: Option<&[u64]>,
-        mask: u64,
-        costs: &mut Costs,
-    ) {
-        self.write_data(w, rd, r, mask, costs);
-        if self.cheri() {
-            match rm {
-                Some(rm) => self.write_meta(w, rd, rm, mask, costs),
-                None => self.write_meta_null(w, rd, mask, costs),
-            }
-        }
-    }
-
-    /// Compact data write: the counterpart of [`Sm::write_data`] accepting
-    /// the result in register-file form (no recompression scan on the
-    /// scalarised path).
-    pub(crate) fn write_data_compact(
-        &mut self,
-        w: u32,
-        rd: Reg,
-        val: &OperandVec,
+        val: OperandVec<'_>,
+        meta: Option<OperandVec<'_>>,
         mask: u64,
         costs: &mut Costs,
     ) {
         if rd.is_zero() {
             return;
         }
-        let info = match self.sink.as_deref_mut() {
-            Some(sink) => {
-                self.data_rf.write_compact_traced(w, rd.index() as u32, val, mask, self.cycle, sink)
-            }
-            None => self.data_rf.write_compact(w, rd.index() as u32, val, mask),
-        };
-        costs.add_write(self.cfg.timing.spill_cycles, self.cfg.lanes, info);
-    }
-
-    /// Compact metadata write (no-op without a metadata register file).
-    pub(crate) fn write_meta_compact(
-        &mut self,
-        w: u32,
-        rd: Reg,
-        val: &OperandVec,
-        mask: u64,
-        costs: &mut Costs,
-    ) {
-        if rd.is_zero() {
-            return;
-        }
-        let lanes = self.cfg.lanes;
-        let spill = self.cfg.timing.spill_cycles;
-        let cycle = self.cycle;
+        let (reg, cycle) = (rd.index() as u32, self.cycle);
+        let (spill, lanes) = (self.cfg.timing.spill_cycles, self.cfg.lanes);
+        let trace = self.sink.as_deref_mut().map(|s| (s as &mut dyn EventSink, cycle));
+        let info = self.data_rf.write_compact(w, reg, &val, mask, trace);
+        costs.add_write(spill, lanes, info);
         if let Some(rf) = self.meta_rf.as_mut() {
-            let info = match self.sink.as_deref_mut() {
-                Some(sink) => rf.write_compact_traced(w, rd.index() as u32, val, mask, cycle, sink),
-                None => rf.write_compact(w, rd.index() as u32, val, mask),
-            };
-            costs.add_write(spill, lanes, info);
-        }
-    }
-
-    /// The result-commit tail of the scalarised execute path: compact data
-    /// write plus (under CHERI) the capability metadata (`meta` for
-    /// capability results, null metadata otherwise). Bit-identical to
-    /// [`Sm::writeback`] over the expanded equivalents.
-    pub(crate) fn writeback_compact(
-        &mut self,
-        w: u32,
-        rd: Reg,
-        val: &OperandVec,
-        meta: Option<&OperandVec>,
-        mask: u64,
-        costs: &mut Costs,
-    ) {
-        self.write_data_compact(w, rd, val, mask, costs);
-        if self.cheri() {
-            let null = OperandVec::Uniform(NULL_META);
-            self.write_meta_compact(w, rd, meta.unwrap_or(&null), mask, costs);
+            let meta = meta.unwrap_or(OperandVec::Uniform(NULL_META));
+            let trace = self.sink.as_deref_mut().map(|s| (s as &mut dyn EventSink, cycle));
+            costs.add_write(spill, lanes, rf.write_compact(w, reg, &meta, mask, trace));
         }
     }
 
@@ -161,12 +54,10 @@ impl Sm {
         }
         let warp = &mut self.warps[w as usize];
         warp.cached_sel = None;
-        for (i, &pc) in next_pc.iter().enumerate().take(self.cfg.lanes as usize) {
-            if sel.mask >> i & 1 == 1 {
-                warp.pc[i] = pc;
-                if let Some(s) = status_change {
-                    warp.set_status(i, s);
-                }
+        for i in active_lanes(sel.mask, self.cfg.lanes as usize) {
+            warp.pc[i] = next_pc[i];
+            if let Some(s) = status_change {
+                warp.set_status(i, s);
             }
         }
     }
@@ -189,12 +80,10 @@ impl Sm {
         }
         let warp = &mut self.warps[w as usize];
         warp.cached_sel = None;
-        for i in 0..self.cfg.lanes as usize {
-            if sel.mask >> i & 1 == 1 {
-                warp.pc[i] = next_pc;
-                if let Some(s) = status_change {
-                    warp.set_status(i, s);
-                }
+        for i in active_lanes(sel.mask, self.cfg.lanes as usize) {
+            warp.pc[i] = next_pc;
+            if let Some(s) = status_change {
+                warp.set_status(i, s);
             }
         }
         if status_change.is_none() && sel.mask.count_ones() == warp.runnable {

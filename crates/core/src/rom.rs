@@ -1,12 +1,14 @@
 //! The pre-decoded program ROM: one-time decode of the loaded kernel into
-//! dense micro-ops so the hot interpreter loop never re-derives per-issue
-//! facts that are static per instruction (§3.3.4 of DESIGN.md).
+//! dense micro-ops, so the hot interpreter loop never re-derives per-issue
+//! facts that are static per instruction (§3.3.4 of DESIGN.md). It is the
+//! SM's only decoder: [`crate::Sm::load_program`] builds it and every
+//! issue fetches from it.
 //!
-//! Each slot caches, for the instruction word at the same index of
+//! Each slot holds, for the instruction word at the same index of
 //! instruction memory:
 //!
 //! * the decoded [`Instr`] (`None` for undecodable words, which trap as
-//!   `illegal_instr` exactly like the decode-at-issue path),
+//!   `illegal_instr` at issue),
 //! * the **static half of the scalarisation verdict**
 //!   ([`StaticClass`]): instructions that scalarise under any mask and
 //!   operand classes, instructions that never do, and the rest — for
@@ -24,9 +26,9 @@
 //! converged warp that is the only pickable warp retires a straight-line
 //! run without re-entering the per-issue dispatcher (see
 //! [`crate::pipeline::schedule`]). The ROM is a pure function of the
-//! program words and the CHERI mode, so toggling predecode
-//! ([`crate::Sm::set_predecode`]) cannot change any architectural result —
-//! the differential suite pins this.
+//! program words and the CHERI mode; the golden-digest table
+//! (`crates/bench/tests/golden_digests.rs`) pins every statistic, trace
+//! event and memory word it produces.
 
 use crate::pipeline::classify::{static_issue_class, StaticClass};
 use simt_isa::Instr;
@@ -70,7 +72,7 @@ impl TrapPlan {
     /// under the integer schemes they take the bounds-table and (for
     /// multi-byte widths) alignment checks plus the mapping probe. AMOs
     /// carry no separate alignment probe: the mapping probe's word read
-    /// reports misalignment, exactly as the un-planned path did.
+    /// reports misalignment.
     pub(crate) fn for_instr(instr: Instr, cheri: bool) -> TrapPlan {
         let bytes = match instr {
             Instr::Load { w, .. } => w.bytes(),
@@ -129,8 +131,9 @@ fn is_straight(instr: Instr) -> bool {
 }
 
 /// The pre-decoded program: one [`MicroOp`] per instruction-memory word
-/// (`None` where the word is undecodable).
-#[derive(Debug, Clone)]
+/// (`None` where the word is undecodable). Empty until a program is
+/// loaded.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ProgramRom {
     pub(crate) ops: Vec<Option<MicroOp>>,
 }

@@ -10,23 +10,29 @@
 use crate::config::{CheriOpts, SmConfig};
 use crate::counters::KernelStats;
 use crate::pipeline::StepOutcome;
+use crate::rom::ProgramRom;
 use crate::trap::{RunError, Trap};
 use crate::warp::Warp;
 use cheri_cap::{CapMem, CapPipe, Perms};
-use simt_isa::Instr;
 use simt_mem::{map, CoalescingUnit, Dram, MainMemory, Scratchpad, TagController};
 use simt_regfile::{CompressedRegFile, RfConfig, MAX_LANES};
 use simt_trace::{EventSink, StallCause, TraceEvent};
 
-/// Reusable per-lane scratch buffers for the lane-wise execute paths.
+/// One lane array per operand of the widest per-lane loop (a capability
+/// store's address, address metadata, value and value metadata).
+pub(crate) type Spare = [[u64; MAX_LANES]; 4];
+
+/// Reusable per-lane scratch buffers for the execute path.
 ///
-/// The reference handlers work over `MAX_LANES`-sized arrays regardless of
-/// the configured lane count; allocating (and zero-filling) those on the
-/// stack per issue dominates the host-model cost of small geometries. One
-/// boxed copy lives on the [`Sm`] instead, loaned out with a take/put
-/// pattern (see [`Sm::take_bufs`]). Contents are *stale* between issues by
-/// design: every handler fully writes the lanes it reads back, or reads
-/// only under the mask it wrote (audited per handler at the use sites).
+/// Irregular (`Vector`) operands are expanded into, and per-lane results
+/// computed in, `MAX_LANES`-sized arrays regardless of the configured lane
+/// count; allocating (and zero-filling) those on the stack per issue
+/// dominates the host-model cost of small geometries. One boxed copy lives
+/// on the [`Sm`] instead, loaned out with a take/put pattern (see
+/// [`Sm::take_bufs`]). Contents are *stale* between issues by design: a
+/// `Vector` operand or result borrows exactly the lanes that were just
+/// written, and the memory stage reads back only under the mask it wrote
+/// (audited per handler at the use sites).
 #[derive(Debug)]
 pub(crate) struct LaneBufs {
     /// First data operand (or memory address).
@@ -35,12 +41,15 @@ pub(crate) struct LaneBufs {
     pub b: [u64; MAX_LANES],
     /// Metadata of `a`.
     pub am: [u64; MAX_LANES],
-    /// Metadata of `b` (or a spare metadata scratch).
+    /// Metadata of `b` (or a spare per-lane scratch).
     pub bm: [u64; MAX_LANES],
     /// Result data.
     pub r: [u64; MAX_LANES],
     /// Result metadata.
     pub rm: [u64; MAX_LANES],
+    /// Expansion space for compact operands that a per-lane loop reads
+    /// (see [`crate::pipeline::scalar::lanes`]).
+    pub spare: Spare,
     /// Per-lane next PCs (control flow).
     pub pcs: [u32; MAX_LANES],
     /// Per-lane effective addresses (memory stage).
@@ -61,6 +70,7 @@ impl LaneBufs {
             bm: [0; MAX_LANES],
             r: [0; MAX_LANES],
             rm: [0; MAX_LANES],
+            spare: [[0; MAX_LANES]; 4],
             pcs: [0; MAX_LANES],
             eas: [0; MAX_LANES],
             dram_reqs: Vec::with_capacity(MAX_LANES),
@@ -74,11 +84,12 @@ impl LaneBufs {
 pub struct Sm {
     pub(crate) cfg: SmConfig,
     pub(crate) opts: Option<CheriOpts>,
-    pub(crate) imem: Vec<Option<Instr>>,
+    /// The loaded program's instruction words (reported by
+    /// `illegal_instr` traps).
     pub(crate) imem_raw: Vec<u32>,
-    /// The pre-decoded program ROM (`Some` iff `cfg.predecode` and a
-    /// program is loaded). Pure cache over `imem_raw`: see [`crate::rom`].
-    pub(crate) rom: Option<crate::rom::ProgramRom>,
+    /// The pre-decoded program ROM over `imem_raw`, the only decoder on
+    /// the issue path: see [`crate::rom`].
+    pub(crate) rom: ProgramRom,
     pub(crate) warps: Vec<Warp>,
     pub(crate) data_rf: CompressedRegFile,
     pub(crate) meta_rf: Option<CompressedRegFile>,
@@ -123,16 +134,11 @@ pub struct Sm {
     /// grid-stride kernels distribute work across every SM. Equals
     /// `cfg.threads()` stand-alone.
     pub(crate) device_threads: u32,
-    /// Execute scalarised issues warp-wide over compact operands (the fast
-    /// path). Purely a host-model speed knob: issue classification, the
-    /// `scalarised_issues` counter and every other statistic are identical
-    /// either way (the differential test pins this).
-    pub(crate) scalarise: bool,
     /// Traps suppressed under `TrapPolicy::MaskLanes` this launch, in
     /// delivery order (empty under `Abort`).
     pub(crate) suppressed: Vec<Trap>,
     /// Let the scheduler retire straight-line basic blocks without
-    /// re-entering the per-issue pick loop (requires the pre-decoded ROM).
+    /// re-entering the per-issue pick loop.
     /// Disabled by [`crate::Device`] for multi-SM devices, whose
     /// instruction-granular arbitration must interleave SMs per issue.
     pub(crate) block_runs: bool,
@@ -146,7 +152,7 @@ pub struct Sm {
 }
 
 impl Sm {
-    /// Borrow the lane scratch buffers for a lane-wise handler. Callers
+    /// Borrow the lane scratch buffers for an execute handler. Callers
     /// must hand them back with [`Sm::put_bufs`] on every exit path
     /// (including trap returns).
     #[inline]
@@ -186,9 +192,8 @@ impl Sm {
         });
         Sm {
             opts,
-            imem: Vec::new(),
             imem_raw: Vec::new(),
-            rom: None,
+            rom: ProgramRom::default(),
             warps: Vec::new(),
             data_rf,
             meta_rf,
@@ -213,7 +218,6 @@ impl Sm {
             sum_meta_resident: 0,
             hart_base: 0,
             device_threads: cfg.threads(),
-            scalarise: true,
             suppressed: Vec::new(),
             block_runs: true,
             bufs: Some(LaneBufs::new()),
@@ -295,31 +299,6 @@ impl Sm {
         self.sink.is_some()
     }
 
-    /// Enable or disable the warp-wide execute fast path over compact
-    /// (uniform/affine) operands. On by default; turning it off forces the
-    /// lane-wise reference path for every issue. The two paths are
-    /// bit-identical — statistics (including [`KernelStats::scalarised_issues`],
-    /// which counts issue *classification*, not which path ran), trace
-    /// events and memory contents do not depend on this knob, so it exists
-    /// only for differential testing of the fast path itself.
-    pub fn set_scalarise(&mut self, enabled: bool) {
-        self.scalarise = enabled;
-    }
-
-    /// Enable or disable program pre-decoding (the micro-op ROM and the
-    /// scheduler's basic-block runs). On by default via
-    /// [`SmConfig::predecode`]. Like [`Sm::set_scalarise`] this is purely a
-    /// host-model speed knob: statistics, trace events and memory contents
-    /// are bit-identical either way, so it exists only for differential
-    /// testing of the pre-decoded path itself. Takes effect immediately —
-    /// the ROM is rebuilt from (or dropped for) the currently loaded
-    /// program.
-    pub fn set_predecode(&mut self, enabled: bool) {
-        self.cfg.predecode = enabled;
-        self.rom = (enabled && !self.imem_raw.is_empty())
-            .then(|| crate::rom::ProgramRom::build(&self.imem_raw, self.cfg.cheri.enabled()));
-    }
-
     /// Emit a stall event (no-op without a sink or for zero-cycle stalls, so
     /// per-cause cycle sums always reconcile with `StallBreakdown`).
     pub(crate) fn emit_stall(&mut self, warp: u32, cause: StallCause, cycles: u64) {
@@ -352,8 +331,8 @@ impl Sm {
         self.block_warps = warps;
     }
 
-    /// Load a program at the base of instruction memory and mint the launch
-    /// PCC over it.
+    /// Load a program at the base of instruction memory, pre-decode it into
+    /// the program ROM and mint the launch PCC over it.
     ///
     /// # Panics
     ///
@@ -361,7 +340,7 @@ impl Sm {
     pub fn load_program(&mut self, words: &[u32]) {
         assert!((words.len() * 4) as u32 <= map::TCIM_SIZE, "program too large for TCIM");
         self.imem_raw = words.to_vec();
-        self.imem = words.iter().map(|&w| Instr::decode(w)).collect();
+        self.rom = ProgramRom::build(words, self.cfg.cheri.enabled());
         let (pcc, exact) = CapPipe::almighty()
             .and_perm(Perms::code())
             .set_addr(map::TCIM_BASE)
@@ -382,10 +361,6 @@ impl Sm {
             self.launch_pcc_meta = 0;
             self.pcc_fetch_ok = false;
         }
-        self.rom = self
-            .cfg
-            .predecode
-            .then(|| crate::rom::ProgramRom::build(words, self.cfg.cheri.enabled()));
     }
 
     /// Reset warps, register files and statistics for a fresh launch.

@@ -50,6 +50,24 @@ impl DramStats {
         (self.read_transactions + self.write_transactions + self.tag_transactions)
             * TRANSACTION_BYTES as u64
     }
+
+    /// Add another snapshot's counters (multi-launch totals).
+    pub fn add(&mut self, other: &DramStats) {
+        let DramStats {
+            read_transactions,
+            write_transactions,
+            tag_transactions,
+            busy_cycles,
+            cross_sm_switches,
+            cross_sm_wait_cycles,
+        } = *other;
+        self.read_transactions += read_transactions;
+        self.write_transactions += write_transactions;
+        self.tag_transactions += tag_transactions;
+        self.busy_cycles += busy_cycles;
+        self.cross_sm_switches += cross_sm_switches;
+        self.cross_sm_wait_cycles += cross_sm_wait_cycles;
+    }
 }
 
 /// The DRAM channel.

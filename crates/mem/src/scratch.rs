@@ -29,6 +29,15 @@ pub struct ScratchStats {
     pub conflict_cycles: u64,
 }
 
+impl ScratchStats {
+    /// Add another snapshot's counters (multi-launch totals).
+    pub fn add(&mut self, other: &ScratchStats) {
+        let ScratchStats { accesses, conflict_cycles } = *other;
+        self.accesses += accesses;
+        self.conflict_cycles += conflict_cycles;
+    }
+}
+
 impl Scratchpad {
     /// Create a scratchpad of `size` bytes at `base` with `banks` banks
     /// (typically one per vector lane).

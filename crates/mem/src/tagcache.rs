@@ -42,6 +42,22 @@ pub struct TagCacheStats {
 }
 
 impl TagCacheStats {
+    /// Add another snapshot's counters (multi-launch totals).
+    pub fn add(&mut self, other: &TagCacheStats) {
+        let TagCacheStats {
+            hits,
+            misses,
+            writebacks,
+            cross_sm_switches,
+            cross_sm_conflict_evictions,
+        } = *other;
+        self.hits += hits;
+        self.misses += misses;
+        self.writebacks += writebacks;
+        self.cross_sm_switches += cross_sm_switches;
+        self.cross_sm_conflict_evictions += cross_sm_conflict_evictions;
+    }
+
     /// Miss rate in [0, 1]; zero when there were no lookups.
     pub fn miss_rate(&self) -> f64 {
         let total = self.hits + self.misses;

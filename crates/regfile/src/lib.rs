@@ -128,18 +128,19 @@ const STRIDE_MIN: i64 = -32;
 const STRIDE_MAX: i64 = 31;
 
 /// A warp-wide operand in its *compact* form — the typed counterpart of
-/// the SRF/VRF split. The execute stage reads operands in this
-/// representation and, when every input is compact, computes the result
-/// once per warp instead of once per lane (the simulator-side use of the
-/// paper's §3.1 inter-thread value regularity).
+/// the SRF/VRF split. The execute stage reads every operand in this
+/// representation and computes a result once per warp when the inputs
+/// allow it (the simulator-side use of the paper's §3.1 inter-thread value
+/// regularity), lane by lane otherwise.
 ///
 /// Lane contract: `Uniform(v)` is `v` in every lane (full 64-bit value);
 /// `Affine { base, stride }` is
 /// `(base as u32).wrapping_add((stride as u32).wrapping_mul(i))` in lane
 /// `i`, zero-extended — affine vectors live in the 32-bit data domain and
-/// `base` is exactly the lane-0 value; `Vector` is one element per lane.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum OperandVec {
+/// `base` is exactly the lane-0 value; `Vector` is one element per lane,
+/// borrowed from a caller-owned buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OperandVec<'a> {
     /// Every lane holds the same value.
     Uniform(u64),
     /// `base + lane · stride`, modulo 2³².
@@ -150,18 +151,25 @@ pub enum OperandVec {
         stride: i64,
     },
     /// Irregular: one element per lane (only the first `lanes` are live).
-    Vector(Box<[u64]>),
+    Vector(&'a [u64]),
 }
 
-/// The capability-metadata analogue of [`OperandVec`]: the metadata
-/// register file detects no affine vectors, so a metadata operand is only
-/// ever `Uniform` or `Vector` (an NVO `PartialNull` entry expands to
-/// `Vector` — its lanes differ).
-pub type MetaVec = OperandVec;
+impl OperandVec<'_> {
+    /// Lane `i`'s value, following the lane contract above.
+    #[inline]
+    pub fn lane(&self, i: usize) -> u64 {
+        match *self {
+            OperandVec::Uniform(v) => v,
+            OperandVec::Affine { base, stride } => {
+                (base as u32).wrapping_add((stride as u32).wrapping_mul(i as u32)) as u64
+            }
+            OperandVec::Vector(v) => v[i],
+        }
+    }
 
-impl OperandVec {
     /// Expand into `out` (one element per lane), following the lane
     /// contract above.
+    #[inline]
     pub fn expand_into(&self, out: &mut [u64]) {
         match *self {
             OperandVec::Uniform(v) => out.fill(v),
@@ -170,7 +178,17 @@ impl OperandVec {
                     *o = (base as u32).wrapping_add((stride as u32).wrapping_mul(i as u32)) as u64;
                 }
             }
-            OperandVec::Vector(ref v) => out.copy_from_slice(&v[..out.len()]),
+            OperandVec::Vector(v) => out.copy_from_slice(&v[..out.len()]),
+        }
+    }
+
+    /// The residency class this operand was read from.
+    #[inline]
+    pub fn class(&self) -> OperandClass {
+        match self {
+            OperandVec::Uniform(_) => OperandClass::Uniform,
+            OperandVec::Affine { .. } => OperandClass::Affine,
+            OperandVec::Vector(_) => OperandClass::Vector,
         }
     }
 }
@@ -214,6 +232,19 @@ pub struct RfStats {
     pub vector_writes: u64,
     /// Peak number of VRF-resident vectors.
     pub peak_resident: u32,
+}
+
+impl RfStats {
+    /// Merge another run's statistics: counts add, the peak takes the
+    /// maximum.
+    pub fn add(&mut self, other: &RfStats) {
+        let RfStats { spills, fills, scalar_writes, vector_writes, peak_resident } = *other;
+        self.spills += spills;
+        self.fills += fills;
+        self.scalar_writes += scalar_writes;
+        self.vector_writes += vector_writes;
+        self.peak_resident = self.peak_resident.max(peak_resident);
+    }
 }
 
 /// Result of a read.
@@ -443,6 +474,41 @@ impl CompressedRegFile {
         ReadInfo { from_vrf, fills, spills }
     }
 
+    /// Read a register in its stored form: a compact SRF entry comes back
+    /// as `Uniform`/`Affine` with **no** per-lane work; anything else is
+    /// expanded into `buf` and comes back as a `Vector` borrowing it.
+    /// Spill/fill behaviour and the returned [`ReadInfo`] are identical to
+    /// [`Self::read`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf` is shorter than the lane count.
+    pub fn read_compact<'a>(
+        &mut self,
+        warp: u32,
+        reg: u32,
+        buf: &'a mut [u64],
+    ) -> (OperandVec<'a>, ReadInfo) {
+        let idx = self.idx(warp, reg);
+        let (fills, spills) = self.fill(idx);
+        let e = &self.entries[idx];
+        let from_vrf = matches!(e, Entry::Vector { .. });
+        let v = match *e {
+            Entry::Scalar { base, stride: 0 } => OperandVec::Uniform(base),
+            // The entry keeps the full first-written value; the lane-0
+            // contract truncates to the 32-bit data domain, exactly as
+            // `expand_into` does.
+            Entry::Scalar { base, stride } => {
+                OperandVec::Affine { base: (base as u32) as u64, stride: stride as i64 }
+            }
+            _ => {
+                self.expand_into(e, buf);
+                OperandVec::Vector(&buf[..self.cfg.lanes as usize])
+            }
+        };
+        (v, ReadInfo { from_vrf, fills, spills })
+    }
+
     /// Peek at a register without touching spill state (host/debug use).
     pub fn peek(&self, warp: u32, reg: u32, out: &mut [u64]) {
         self.expand_into(&self.entries[(warp * self.cfg.arch_regs + reg) as usize], out);
@@ -453,30 +519,105 @@ impl CompressedRegFile {
     /// compressor on the merged vector, exactly like the hardware's array of
     /// comparators (Figure 5).
     pub fn write(&mut self, warp: u32, reg: u32, values: &[u64], mask: u64) -> WriteInfo {
+        self.write_compact(warp, reg, &OperandVec::Vector(values), mask, None)
+    }
+
+    /// Write the active lanes of a register from its compact form. For
+    /// every `(value, mask)` the result — entry, statistics, [`WriteInfo`]
+    /// — is that of expanding `value` and running the compressor on the
+    /// merged vector (the `compact_*` unit tests pin this), but a compact
+    /// value needs no compressor scan:
+    ///
+    /// * full-mask `Uniform` is a compact SRF store (uniform vectors always
+    ///   compress, whatever the configuration);
+    /// * full-mask `Affine` with a representable stride is a compact SRF
+    ///   store when the file detects affine vectors (strides are compared
+    ///   modulo 2³², like the compressor's comparators);
+    /// * everything else — partial masks, `Vector` operands, out-of-range
+    ///   strides — merges and runs the compressor.
+    ///
+    /// With `trace`, emits one [`TraceEvent::RfTransition`] (at the given
+    /// cycle) whenever the register changes residency class — compact SRF
+    /// entry to VRF vector or back. For the metadata register file this is
+    /// the event stream of the null-value optimisation (NVO): each
+    /// `to_vector == false` event is a vector the compressor reclaimed.
+    pub fn write_compact(
+        &mut self,
+        warp: u32,
+        reg: u32,
+        value: &OperandVec<'_>,
+        mask: u64,
+        trace: Option<(&mut dyn EventSink, u64)>,
+    ) -> WriteInfo {
         let lanes = self.cfg.lanes as usize;
-        let full = mask & (u64::MAX >> (64 - lanes));
-        if full == 0 {
+        let all = u64::MAX >> (64 - lanes);
+        let mask = mask & all;
+        if mask == 0 {
             return WriteInfo { to_srf: true, ..WriteInfo::default() };
         }
         let idx = self.idx(warp, reg);
-
-        if full == u64::MAX >> (64 - lanes) {
-            // Full-mask write: the merged vector is `values` itself.
-            return self.install(warp, reg, idx, &values[..lanes]);
-        }
-        // Merge with existing contents.
-        let mut merged = [0u64; MAX_LANES];
-        self.expand_into(&self.entries[idx], &mut merged);
-        for i in 0..lanes {
-            if full >> i & 1 == 1 {
-                merged[i] = values[i];
+        let was_vector = trace.is_some() && self.is_vector_class(idx);
+        let info = if mask == all {
+            self.write_full(warp, reg, idx, value)
+        } else {
+            // Partial write: merge the active lanes into the old contents.
+            let mut merged = [0u64; MAX_LANES];
+            self.expand_into(&self.entries[idx], &mut merged);
+            for (i, m) in merged[..lanes].iter_mut().enumerate() {
+                if mask >> i & 1 == 1 {
+                    *m = value.lane(i);
+                }
+            }
+            self.install(warp, reg, idx, &merged[..lanes])
+        };
+        if let Some((sink, cycle)) = trace {
+            let is_vector = self.is_vector_class(idx);
+            if was_vector != is_vector {
+                sink.emit(TraceEvent::RfTransition {
+                    cycle,
+                    warp,
+                    rf: self.rf_kind(),
+                    reg,
+                    to_vector: is_vector,
+                });
             }
         }
-        self.install(warp, reg, idx, &merged[..lanes])
+        info
+    }
+
+    /// The full-mask half of [`Self::write_compact`]: compact values go
+    /// straight to the SRF, everything else through the compressor.
+    fn write_full(&mut self, warp: u32, reg: u32, idx: usize, value: &OperandVec<'_>) -> WriteInfo {
+        let lanes = self.cfg.lanes as usize;
+        let (base, stride) = match *value {
+            OperandVec::Vector(v) => return self.install(warp, reg, idx, &v[..lanes]),
+            OperandVec::Uniform(v) => (v, 0),
+            // Normalise: a one-lane or stride-≡-0 affine is uniform (with
+            // `base` already the lane-0 value by the contract).
+            OperandVec::Affine { base, stride } => {
+                let stride = (stride as u32) as i32 as i64;
+                if stride == 0 || lanes == 1 {
+                    (base, 0)
+                } else if self.cfg.detect_affine && (STRIDE_MIN..=STRIDE_MAX).contains(&stride) {
+                    (base, stride as i8)
+                } else {
+                    let mut buf = [0u64; MAX_LANES];
+                    value.expand_into(&mut buf[..lanes]);
+                    return self.install(warp, reg, idx, &buf[..lanes]);
+                }
+            }
+        };
+        // An affine value has two distinct lane values, so some lane is
+        // non-null; a uniform one is null exactly when `base` is.
+        if stride != 0 || base != self.cfg.null_value.unwrap_or(0) {
+            self.ever_nonnull[warp as usize] |= 1 << reg;
+        }
+        self.set_compact(idx, Entry::Scalar { base, stride });
+        WriteInfo { to_srf: true, ..WriteInfo::default() }
     }
 
     /// Commit a fully-merged vector to the register: run the compressor and
-    /// store the result in the SRF or the VRF (the tail of [`Self::write`]).
+    /// store the result in the SRF or the VRF.
     fn install(&mut self, warp: u32, reg: u32, idx: usize, merged: &[u64]) -> WriteInfo {
         let lanes = self.cfg.lanes as usize;
         let null = self.cfg.null_value.unwrap_or(0);
@@ -487,13 +628,7 @@ impl CompressedRegFile {
         let mut info = WriteInfo::default();
         match self.compress(merged) {
             Some(new_entry) => {
-                // Free any VRF slot the register was occupying.
-                if let Entry::Vector { slot } = self.entries[idx] {
-                    self.free.push(slot);
-                    self.resident -= 1;
-                }
-                self.entries[idx] = new_entry;
-                self.stats.scalar_writes += 1;
+                self.set_compact(idx, new_entry);
                 info.to_srf = true;
             }
             None => {
@@ -512,6 +647,17 @@ impl CompressedRegFile {
             }
         }
         info
+    }
+
+    /// Store a compact SRF entry, freeing any VRF slot the register was
+    /// occupying.
+    fn set_compact(&mut self, idx: usize, entry: Entry) {
+        if let Entry::Vector { slot } = self.entries[idx] {
+            self.free.push(slot);
+            self.resident -= 1;
+        }
+        self.entries[idx] = entry;
+        self.stats.scalar_writes += 1;
     }
 
     /// True when the register is currently uncompressed (VRF-resident or
@@ -533,146 +679,6 @@ impl CompressedRegFile {
         }
     }
 
-    /// Read a register in its stored form, without expanding compact
-    /// entries. Spill/fill behaviour and the returned [`ReadInfo`] are
-    /// identical to [`Self::read`]; only the shape of the result differs —
-    /// a `Scalar` SRF entry comes back as `Uniform`/`Affine` with **no**
-    /// per-lane work, everything else is expanded into a `Vector`.
-    pub fn read_compact(&mut self, warp: u32, reg: u32) -> (OperandVec, ReadInfo) {
-        let idx = self.idx(warp, reg);
-        let (fills, spills) = self.fill(idx);
-        match self.entries[idx] {
-            Entry::Scalar { base, stride: 0 } => {
-                (OperandVec::Uniform(base), ReadInfo { from_vrf: false, fills, spills })
-            }
-            Entry::Scalar { base, stride } => (
-                // `base` in the entry is the full first-written value; the
-                // lane-0 contract truncates to the 32-bit data domain,
-                // exactly as `expand_into` does.
-                OperandVec::Affine { base: (base as u32) as u64, stride: stride as i64 },
-                ReadInfo { from_vrf: false, fills, spills },
-            ),
-            ref e => {
-                let from_vrf = matches!(e, Entry::Vector { .. });
-                let lanes = self.cfg.lanes as usize;
-                let mut out = vec![0u64; lanes];
-                let e = e.clone();
-                self.expand_into(&e, &mut out);
-                (OperandVec::Vector(out.into_boxed_slice()), ReadInfo { from_vrf, fills, spills })
-            }
-        }
-    }
-
-    /// Write a register from its compact form, without re-running the
-    /// compressor scan when the result is already known compact. For every
-    /// `(value, mask)` this is **bit-identical** to expanding `value` and
-    /// calling [`Self::write`] — same entry, same statistics, same
-    /// [`WriteInfo`] (asserted by the `compact_*` unit tests below and the
-    /// core's differential property test):
-    ///
-    /// * full-mask `Uniform` is a compact SRF store (uniform vectors always
-    ///   compress, whatever the configuration);
-    /// * full-mask `Affine` with a representable stride is a compact SRF
-    ///   store when the file detects affine vectors (strides are compared
-    ///   modulo 2³², like the compressor's comparators);
-    /// * everything else — partial masks, `Vector` operands, out-of-range
-    ///   strides — expands and takes the ordinary write path.
-    pub fn write_compact(
-        &mut self,
-        warp: u32,
-        reg: u32,
-        value: &OperandVec,
-        mask: u64,
-    ) -> WriteInfo {
-        let lanes = self.cfg.lanes as usize;
-        let full_mask = u64::MAX >> (64 - lanes);
-        if mask & full_mask == full_mask {
-            // Normalise the compact forms: a one-lane or stride-≡-0 affine
-            // is uniform over the active lanes (with `base` already the
-            // lane-0 value by the contract).
-            let norm = match *value {
-                OperandVec::Affine { base, stride } => {
-                    let stride = (stride as u32) as i32 as i64;
-                    if stride == 0 || lanes == 1 {
-                        Some(OperandVec::Uniform(base))
-                    } else {
-                        Some(OperandVec::Affine { base, stride })
-                    }
-                }
-                OperandVec::Uniform(v) => Some(OperandVec::Uniform(v)),
-                OperandVec::Vector(_) => None,
-            };
-            match norm {
-                Some(OperandVec::Uniform(v)) => {
-                    let idx = self.idx(warp, reg);
-                    if v != self.cfg.null_value.unwrap_or(0) {
-                        self.ever_nonnull[warp as usize] |= 1 << reg;
-                    }
-                    if let Entry::Vector { slot } = self.entries[idx] {
-                        self.free.push(slot);
-                        self.resident -= 1;
-                    }
-                    self.entries[idx] = Entry::Scalar { base: v, stride: 0 };
-                    self.stats.scalar_writes += 1;
-                    return WriteInfo { to_srf: true, ..WriteInfo::default() };
-                }
-                Some(OperandVec::Affine { base, stride })
-                    if self.cfg.detect_affine && (STRIDE_MIN..=STRIDE_MAX).contains(&stride) =>
-                {
-                    let idx = self.idx(warp, reg);
-                    // Two distinct lane values exist (stride ≢ 0, lanes ≥ 2),
-                    // so some lane differs from the null value.
-                    self.ever_nonnull[warp as usize] |= 1 << reg;
-                    if let Entry::Vector { slot } = self.entries[idx] {
-                        self.free.push(slot);
-                        self.resident -= 1;
-                    }
-                    self.entries[idx] = Entry::Scalar { base, stride: stride as i8 };
-                    self.stats.scalar_writes += 1;
-                    return WriteInfo { to_srf: true, ..WriteInfo::default() };
-                }
-                _ => {}
-            }
-            // A full-mask `Vector` operand (or an unrepresentable affine)
-            // is the merged result itself: skip the expand-and-merge.
-            if let OperandVec::Vector(ref v) = *value {
-                let idx = self.idx(warp, reg);
-                return self.install(warp, reg, idx, &v[..lanes]);
-            }
-        }
-        let mut buf = [0u64; MAX_LANES];
-        value.expand_into(&mut buf[..lanes]);
-        self.write(warp, reg, &buf, mask)
-    }
-
-    /// [`Self::write_compact`] with structured tracing — the compact
-    /// counterpart of [`Self::write_traced`], emitting the same
-    /// [`TraceEvent::RfTransition`] on residency-class changes.
-    pub fn write_compact_traced(
-        &mut self,
-        warp: u32,
-        reg: u32,
-        value: &OperandVec,
-        mask: u64,
-        cycle: u64,
-        sink: &mut dyn EventSink,
-    ) -> WriteInfo {
-        let idx = self.idx(warp, reg);
-        let was_vector = self.is_vector_class(idx);
-        let info = self.write_compact(warp, reg, value, mask);
-        let is_vector = self.is_vector_class(idx);
-        if was_vector != is_vector {
-            sink.emit(TraceEvent::RfTransition {
-                cycle,
-                warp,
-                rf: self.rf_kind(),
-                reg,
-                to_vector: is_vector,
-            });
-        }
-        info
-    }
-
     /// Which kind of register file this is, for trace attribution (33-bit
     /// elements mark the capability-metadata file).
     fn rf_kind(&self) -> RfKind {
@@ -681,37 +687,6 @@ impl CompressedRegFile {
         } else {
             RfKind::Data
         }
-    }
-
-    /// [`Self::write`] with structured tracing: emits one
-    /// [`TraceEvent::RfTransition`] whenever the written register changes
-    /// residency class — compact SRF entry to VRF vector or back. For the
-    /// metadata register file this is the event stream of the null-value
-    /// optimisation (NVO): each `to_vector == false` event is a vector the
-    /// compressor reclaimed.
-    pub fn write_traced(
-        &mut self,
-        warp: u32,
-        reg: u32,
-        values: &[u64],
-        mask: u64,
-        cycle: u64,
-        sink: &mut dyn EventSink,
-    ) -> WriteInfo {
-        let idx = self.idx(warp, reg);
-        let was_vector = self.is_vector_class(idx);
-        let info = self.write(warp, reg, values, mask);
-        let is_vector = self.is_vector_class(idx);
-        if was_vector != is_vector {
-            sink.emit(TraceEvent::RfTransition {
-                cycle,
-                warp,
-                rf: self.rf_kind(),
-                reg,
-                to_vector: is_vector,
-            });
-        }
-        info
     }
 }
 
@@ -863,13 +838,16 @@ mod tests {
         use simt_trace::VecSink;
         let mut rf = CompressedRegFile::new(RfConfig::meta(1, 8, 4, true));
         let mut sink = VecSink::new();
+        let mut traced_write = |values: &[u64], cycle: u64, sink: &mut VecSink| {
+            rf.write_compact(0, 5, &OperandVec::Vector(values), u64::MAX, Some((sink, cycle)));
+        };
         // Uniform write: stays scalar, no transition.
-        rf.write_traced(0, 5, &vals(|_| 0x111), u64::MAX, 10, &mut sink);
+        traced_write(&vals(|_| 0x111), 10, &mut sink);
         assert!(sink.events().is_empty());
         // Divergent write: scalar → vector.
-        rf.write_traced(0, 5, &vals(|i| i as u64), u64::MAX, 20, &mut sink);
+        traced_write(&vals(|i| i as u64), 20, &mut sink);
         // Uniform overwrite: vector → scalar (NVO reclaim).
-        rf.write_traced(0, 5, &vals(|_| NULL_META), u64::MAX, 30, &mut sink);
+        traced_write(&vals(|_| NULL_META), 30, &mut sink);
         let evs: Vec<_> = sink.events().to_vec();
         assert_eq!(evs.len(), 2);
         match (evs[0], evs[1]) {
@@ -906,7 +884,7 @@ mod tests {
         compact.write(0, 9, &junk, u64::MAX);
         classic.write(0, 9, &junk, u64::MAX);
 
-        let info_c = compact.write_compact(0, 9, value, mask);
+        let info_c = compact.write_compact(0, 9, value, mask, None);
         let mut expanded = vec![0u64; lanes];
         value.expand_into(&mut expanded);
         let info_v = classic.write(0, 9, &expanded, mask);
@@ -933,8 +911,8 @@ mod tests {
                 OperandVec::Affine { base: 1, stride: 1000 }, // out of range
                 OperandVec::Affine { base: 5, stride: 0 },    // uniform in disguise
                 OperandVec::Affine { base: 3, stride: u32::MAX as i64 }, // ≡ -1 mod 2³²
-                OperandVec::Vector((0..8).map(|i| i * i).collect()),
-                OperandVec::Vector(vec![9; 8].into_boxed_slice()),
+                OperandVec::Vector(&[0, 1, 4, 9, 16, 25, 36, 49]),
+                OperandVec::Vector(&[9; 8]),
             ] {
                 assert_write_equivalent(cfg(), &value, mask);
             }
@@ -960,8 +938,9 @@ mod tests {
         assert_eq!(rf.class_of(0, 1), OperandClass::Uniform);
         assert_eq!(rf.class_of(0, 2), OperandClass::Affine);
         assert_eq!(rf.class_of(0, 3), OperandClass::Vector);
+        let mut buf = [0u64; 8];
         for reg in 1..=3 {
-            let (v, info_c) = rf.clone().read_compact(0, reg);
+            let (v, info_c) = rf.clone().read_compact(0, reg, &mut buf);
             let mut classic = [0u64; 8];
             let info_v = rf.read(0, reg, &mut classic);
             assert_eq!(info_c, info_v, "reg {reg}");
@@ -969,11 +948,11 @@ mod tests {
             v.expand_into(&mut expanded);
             assert_eq!(expanded, classic, "reg {reg}");
         }
-        assert!(matches!(rf.clone().read_compact(0, 1).0, OperandVec::Uniform(77)));
-        assert!(matches!(
-            rf.clone().read_compact(0, 2).0,
+        assert_eq!(rf.clone().read_compact(0, 1, &mut buf).0, OperandVec::Uniform(77));
+        assert_eq!(
+            rf.clone().read_compact(0, 2, &mut buf).0,
             OperandVec::Affine { base: 50, stride: 2 }
-        ));
+        );
     }
 
     #[test]
@@ -986,7 +965,8 @@ mod tests {
         let spilled: Vec<u32> =
             (0..6).filter(|&r| rf.class_of(0, r) == OperandClass::Vector).collect();
         let r = spilled[0];
-        let (v, info) = rf.read_compact(0, r);
+        let mut buf = [0u64; 8];
+        let (v, info) = rf.read_compact(0, r, &mut buf);
         assert!(info.fills > 0 || info.from_vrf);
         let mut out = [0u64; 8];
         v.expand_into(&mut out);
@@ -998,10 +978,11 @@ mod tests {
         use simt_trace::VecSink;
         let mut rf = CompressedRegFile::new(cfg());
         let mut sink = VecSink::new();
-        rf.write_traced(0, 5, &vals(|i| (i * i) as u64), u64::MAX, 10, &mut sink);
+        let squares = vals(|i| (i * i) as u64);
+        rf.write_compact(0, 5, &OperandVec::Vector(&squares), u64::MAX, Some((&mut sink, 10)));
         assert_eq!(sink.events().len(), 1);
         // Compact uniform overwrite: vector → scalar transition.
-        rf.write_compact_traced(0, 5, &OperandVec::Uniform(3), u64::MAX, 20, &mut sink);
+        rf.write_compact(0, 5, &OperandVec::Uniform(3), u64::MAX, Some((&mut sink, 20)));
         let evs = sink.events();
         assert_eq!(evs.len(), 2);
         assert!(matches!(

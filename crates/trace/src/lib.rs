@@ -106,11 +106,12 @@ impl MemSpace {
 /// `KernelStats::scalarised_issues` counter it mirrors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IssueClass {
-    /// Warp-wide fast path: the result was computed once for the whole
-    /// warp from compact operands.
+    /// Proved warp-wide: the result was computed once for the whole warp
+    /// from compact operands.
     Scalarised,
-    /// Lane-wise execution (divergent operands, memory operations,
-    /// barriers, traps — anything off the fast path).
+    /// Not proved warp-wide (divergent operands, a partial mask on a
+    /// compute op, memory operations, barriers, traps): executed lane by
+    /// lane wherever its operands differ.
     PerLane,
 }
 
@@ -170,9 +171,9 @@ pub enum TraceEvent {
         mask: u64,
         /// Instruction mnemonic.
         mnemonic: &'static str,
-        /// How execute ran it: warp-wide over compact operands
+        /// The issue classifier's verdict: warp-wide over compact operands
         /// (`Scalarised` issues mirror `KernelStats::scalarised_issues`)
-        /// or lane-wise.
+        /// or per lane.
         class: IssueClass,
     },
     /// Cycles lost to a pipeline stall, attributed to one cause.
