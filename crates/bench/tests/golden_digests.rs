@@ -9,16 +9,24 @@
 //!    bytes and per-word tag bits), then the address of every tagged
 //!    capability.
 //!
-//! The table pins three families of runs:
+//! The table pins four families of runs:
 //!
 //! * `suite/…` — the 14 suite benchmarks × 5 configurations at the quick
-//!   geometry, at sms 1 and 2;
+//!   geometry, at sms 1, 2 and 4;
 //! * `kir-scalarise/…` and `kir-schemes/…` — seeded random kernels (the
 //!   generator in `crates/nocl/tests/kirgen`) under baseline and
 //!   pure-capability compilation, and under all five protection schemes ×
 //!   both trap policies × sms 1 and 2;
 //! * `faults/…` — the per-`CapException` sabotage probes (see
-//!   `crates/core/tests/probes`) under both trap policies.
+//!   `crates/core/tests/probes`) under both trap policies;
+//! * `abort-order/…` — 2- and 4-SM devices under `TrapPolicy::Abort`
+//!   where one SM traps (on a memory op or an `ecall`) while the others are
+//!   still in long ALU-only stretches between DRAM stores; in the
+//!   `abort-order/ahead/…` rows the roles swap, and the trapping SM runs
+//!   the stretches while the others store every few instructions. These
+//!   rows digest only the error and the final DRAM: which stores of the
+//!   other SMs landed before the abort is exactly the device's cross-SM
+//!   ordering.
 //!
 //! The table was recorded with the warp-wide scalarised execute path and
 //! the pre-decoded program ROM each switched on and off (all four
@@ -29,13 +37,15 @@
 use cheri_cap::CapException;
 use cheri_simt::trace::export::{to_jsonl, TraceCell};
 use cheri_simt::trace::{TraceEvent, VecSink};
-use cheri_simt::{CheriMode, CheriOpts, KernelStats, SmConfig, TrapPolicy};
+use cheri_simt::{CheriMode, CheriOpts, Device, KernelStats, SmConfig, TrapPolicy};
 use nocl::{Gpu, Launch};
 use nocl_kir::{Kernel, Mode};
 use nocl_suite::{suite_jobs, Scale};
 use repro::{default_jobs, run_indexed, Config, Geometry};
 use sim_prng::Prng;
-use simt_mem::MainMemory;
+use simt_isa::asm::Assembler;
+use simt_isa::{csr, AluOp, BranchCond, Instr, LoadWidth, Reg, StoreWidth};
+use simt_mem::{map, MainMemory};
 use std::fmt::Debug;
 
 #[path = "../../nocl/tests/kirgen/mod.rs"]
@@ -120,7 +130,7 @@ const CONFIGS: &[(&str, Config)] = &[
 fn suite_rows() -> Vec<(String, u64)> {
     let jobs = suite_jobs();
     let mut cells = Vec::new();
-    for sms in [1u32, 2] {
+    for sms in [1u32, 2, 4] {
         for &(tag, config) in CONFIGS {
             cells.extend(jobs.iter().map(|job| (sms, tag, config, job.bench)));
         }
@@ -237,6 +247,106 @@ fn fault_rows() -> Vec<(String, u64)> {
     rows
 }
 
+/// How the trapping SM of an `abort-order` kernel faults.
+#[derive(Debug, Clone, Copy)]
+enum AbortTrap {
+    /// A load from the unmapped address 0 (a memory-stage trap).
+    Mem,
+    /// An `ecall` (a trap that touches no memory at all).
+    Ecall,
+}
+
+/// The `abort-order` kernel: every hart stores one word per iteration to
+/// its own slot of an iteration-major array in DRAM, and harts on SM
+/// `trap_sm` trap at iteration `TRAP_AT`. Normally the trapping SM skips
+/// the ALU stretch between stores, so every other SM is still deep in its
+/// first few stretches when it traps. With `trapper_stretches` the roles
+/// swap: only the trapping SM runs the stretches, so it reaches its trap
+/// running ahead of SMs that store every few instructions.
+fn abort_program(
+    trap_sm: u32,
+    threads: u32,
+    device_threads: u32,
+    trap: AbortTrap,
+    trapper_stretches: bool,
+) -> Vec<u32> {
+    const TRAP_AT: u32 = 3;
+    // Enough iterations that the other SMs are still storing at the trap.
+    let iters = if trapper_stretches { 64 } else { 6 };
+    const STRETCH: usize = 48;
+    let addi = |rd: Reg, rs1: Reg, imm: i32| Instr::OpImm { op: AluOp::Add, rd, rs1, imm };
+    let mut a = Assembler::new();
+    a.push(Instr::Csrrs { rd: Reg::A0, csr: csr::MHARTID, rs1: Reg::ZERO });
+    // A5 = "this hart is on the trapping SM".
+    let (not_trapping, lp, skip, cont) = (a.label(), a.label(), a.label(), a.label());
+    a.push(addi(Reg::A5, Reg::ZERO, 0));
+    a.li(Reg::T0, trap_sm * threads);
+    a.li(Reg::T1, (trap_sm + 1) * threads);
+    a.branch(BranchCond::Ltu, Reg::A0, Reg::T0, not_trapping);
+    a.branch(BranchCond::Geu, Reg::A0, Reg::T1, not_trapping);
+    a.push(addi(Reg::A5, Reg::ZERO, 1));
+    a.bind(not_trapping);
+    // A2 = &slot[0][hart]; A1 = the stored value; A4 = the iteration.
+    a.push(Instr::OpImm { op: AluOp::Sll, rd: Reg::A2, rs1: Reg::A0, imm: 2 });
+    a.push(Instr::Lui { rd: Reg::A3, imm: map::DRAM_BASE });
+    a.push(Instr::Op { op: AluOp::Add, rd: Reg::A2, rs1: Reg::A2, rs2: Reg::A3 });
+    a.push(addi(Reg::A1, Reg::A0, 0));
+    a.push(addi(Reg::A4, Reg::ZERO, 0));
+    a.bind(lp);
+    if trapper_stretches {
+        a.beqz(Reg::A5, skip);
+    } else {
+        a.bnez(Reg::A5, skip);
+    }
+    for _ in 0..STRETCH {
+        a.push(addi(Reg::A1, Reg::A1, 3));
+    }
+    a.bind(skip);
+    a.push(Instr::Store { w: StoreWidth::W, rs2: Reg::A1, rs1: Reg::A2, off: 0 });
+    a.li(Reg::T2, device_threads * 4);
+    a.push(Instr::Op { op: AluOp::Add, rd: Reg::A2, rs1: Reg::A2, rs2: Reg::T2 });
+    a.push(addi(Reg::A4, Reg::A4, 1));
+    a.li(Reg::T2, TRAP_AT);
+    a.branch(BranchCond::Ne, Reg::A4, Reg::T2, cont);
+    a.beqz(Reg::A5, cont);
+    a.push(match trap {
+        AbortTrap::Mem => Instr::Load { w: LoadWidth::W, rd: Reg::A3, rs1: Reg::ZERO, off: 0 },
+        AbortTrap::Ecall => Instr::Ecall,
+    });
+    a.bind(cont);
+    a.li(Reg::T2, iters);
+    a.branch(BranchCond::Ne, Reg::A4, Reg::T2, lp);
+    a.terminate();
+    a.assemble()
+}
+
+/// One SM of every `abort-order` device traps; the row digests the error
+/// and the final DRAM. The `ahead/…` rows run the swapped-role kernel.
+fn abort_order_rows() -> Vec<(String, u64)> {
+    let mut rows = Vec::new();
+    for (family, trapper_stretches) in [("abort-order", false), ("abort-order/ahead", true)] {
+        for sms in [2u32, 4] {
+            for trap in [AbortTrap::Mem, AbortTrap::Ecall] {
+                for trap_sm in [0, sms - 1] {
+                    let mut cfg = SmConfig::small(CheriMode::Off);
+                    cfg.trap_policy = TrapPolicy::Abort;
+                    let threads = cfg.threads();
+                    let mut dev = Device::new(cfg, sms);
+                    let prog =
+                        abort_program(trap_sm, threads, sms * threads, trap, trapper_stretches);
+                    dev.load_program(&prog);
+                    dev.reset();
+                    let outcome = dev.run(1_000_000);
+                    let label = format!("{family}/sms{sms}/{trap:?}/sm{trap_sm}");
+                    assert!(outcome.is_err(), "{label}: the run must trap");
+                    rows.push((label, digest(&outcome, &[], dev.memory())));
+                }
+            }
+        }
+    }
+    rows
+}
+
 /// Compare freshly computed rows against the `GOLDEN` rows of one family.
 fn check(family: &str, rows: Vec<(String, u64)>) {
     let want: Vec<(&str, u64)> =
@@ -268,12 +378,18 @@ fn fault_digests_match_golden() {
     check("faults/", fault_rows());
 }
 
+#[test]
+fn abort_order_digests_match_golden() {
+    check("abort-order/", abort_order_rows());
+}
+
 /// Harvest helper: prints the golden table in source form. Run with
 /// `cargo test --release -p repro --test golden_digests -- --ignored --nocapture`.
 #[test]
 #[ignore = "harvest helper, not a regression test"]
 fn print_golden_digests() {
-    let rows = [suite_rows(), kir_scalarise_rows(), kir_scheme_rows(), fault_rows()];
+    let rows =
+        [suite_rows(), kir_scalarise_rows(), kir_scheme_rows(), fault_rows(), abort_order_rows()];
     for (label, d) in rows.iter().flatten() {
         println!("    (\"{label}\", {d:#018x}),");
     }
@@ -284,7 +400,10 @@ fn print_golden_digests() {
 /// `KernelStats::accumulate` started to sum the cross-SM DRAM and
 /// tag-cache counters of every launch (it used to keep only the first
 /// launch's); with the old merge the one-path model reproduces the
-/// originally recorded rows exactly.
+/// originally recorded rows exactly. The `suite/sms4/…` and
+/// `abort-order/…` rows were recorded on the swap-installing,
+/// one-SM-per-step device arbiter, before lookahead arbitration and the
+/// ready-set warp pick replaced it.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64)] = &[
     ("suite/sms1/Base3/VecAdd", 0x3e93952b8344e172),
@@ -427,6 +546,76 @@ const GOLDEN: &[(&str, u64)] = &[
     ("suite/sms2/GpuShield/StrStencil", 0x8526852464bf8224),
     ("suite/sms2/GpuShield/VecGCD", 0x9c10c506101b8851),
     ("suite/sms2/GpuShield/MotionEst", 0x56c16044ea85b707),
+    ("suite/sms4/Base3/VecAdd", 0xbc6dc5a397cf19ec),
+    ("suite/sms4/Base3/Histogram", 0x12c7e92d40af480f),
+    ("suite/sms4/Base3/Reduce", 0x57873b30709f9ac2),
+    ("suite/sms4/Base3/Scan", 0xf0b3c256b2c65ee2),
+    ("suite/sms4/Base3/Transpose", 0x501bfb767e44a1aa),
+    ("suite/sms4/Base3/MatVecMul", 0x490cabdf10346d70),
+    ("suite/sms4/Base3/MatMul", 0x51351ceacf31c716),
+    ("suite/sms4/Base3/BitonicSm", 0xe797ef8f584582b3),
+    ("suite/sms4/Base3/BitonicLa", 0xaf039c0f2c8e6123),
+    ("suite/sms4/Base3/SPMV", 0xd6a8e96f614ee758),
+    ("suite/sms4/Base3/BlkStencil", 0x6f516eb62c226559),
+    ("suite/sms4/Base3/StrStencil", 0x49fe18cdde27ff8f),
+    ("suite/sms4/Base3/VecGCD", 0x53db65e006010b10),
+    ("suite/sms4/Base3/MotionEst", 0xb17edfea357e1970),
+    ("suite/sms4/CheriNaive/VecAdd", 0xcc665cb8c3c0ccfe),
+    ("suite/sms4/CheriNaive/Histogram", 0xab41c02bcf25e0e5),
+    ("suite/sms4/CheriNaive/Reduce", 0x2ba3b574f0c55045),
+    ("suite/sms4/CheriNaive/Scan", 0xb0750eaaa3facc50),
+    ("suite/sms4/CheriNaive/Transpose", 0x4b82cb1db8144ee9),
+    ("suite/sms4/CheriNaive/MatVecMul", 0xcf08caaf9213935d),
+    ("suite/sms4/CheriNaive/MatMul", 0xc02ac0e6e571310a),
+    ("suite/sms4/CheriNaive/BitonicSm", 0xcbbe686caae8e98a),
+    ("suite/sms4/CheriNaive/BitonicLa", 0x0bfaaa0789b50eff),
+    ("suite/sms4/CheriNaive/SPMV", 0x16c139691c292718),
+    ("suite/sms4/CheriNaive/BlkStencil", 0x77d45de4892bcaec),
+    ("suite/sms4/CheriNaive/StrStencil", 0x030b2a3850c5532f),
+    ("suite/sms4/CheriNaive/VecGCD", 0x1649174b97b3ba9a),
+    ("suite/sms4/CheriNaive/MotionEst", 0x5063bb7a2e8ab255),
+    ("suite/sms4/CheriOpt/VecAdd", 0xcc665cb8c3c0ccfe),
+    ("suite/sms4/CheriOpt/Histogram", 0x7a272c880e9c379a),
+    ("suite/sms4/CheriOpt/Reduce", 0x21a44af577136b9c),
+    ("suite/sms4/CheriOpt/Scan", 0xf25bfee15c15adbf),
+    ("suite/sms4/CheriOpt/Transpose", 0x94475745611fdda2),
+    ("suite/sms4/CheriOpt/MatVecMul", 0xcf08caaf9213935d),
+    ("suite/sms4/CheriOpt/MatMul", 0x15f43d62c194877e),
+    ("suite/sms4/CheriOpt/BitonicSm", 0x474cc5c049f0536a),
+    ("suite/sms4/CheriOpt/BitonicLa", 0x989685c97cf1f84e),
+    ("suite/sms4/CheriOpt/SPMV", 0xbc4183bcd8e920b7),
+    ("suite/sms4/CheriOpt/BlkStencil", 0xfb857aca0bf51a28),
+    ("suite/sms4/CheriOpt/StrStencil", 0x030b2a3850c5532f),
+    ("suite/sms4/CheriOpt/VecGCD", 0x1649174b97b3ba9a),
+    ("suite/sms4/CheriOpt/MotionEst", 0x5063bb7a2e8ab255),
+    ("suite/sms4/RustChecked/VecAdd", 0xea9b4da86e2e74b6),
+    ("suite/sms4/RustChecked/Histogram", 0x1d528b977906bbf8),
+    ("suite/sms4/RustChecked/Reduce", 0x967624476e0a5682),
+    ("suite/sms4/RustChecked/Scan", 0xb4e8f9693f790a4f),
+    ("suite/sms4/RustChecked/Transpose", 0x0054152cea9bfbf5),
+    ("suite/sms4/RustChecked/MatVecMul", 0x91e0955acf05c719),
+    ("suite/sms4/RustChecked/MatMul", 0x1fc15f56c2ad2dfe),
+    ("suite/sms4/RustChecked/BitonicSm", 0xc3b50e792c691f6d),
+    ("suite/sms4/RustChecked/BitonicLa", 0x1cb1a51d73e520cd),
+    ("suite/sms4/RustChecked/SPMV", 0x84305ac4ff524f67),
+    ("suite/sms4/RustChecked/BlkStencil", 0x5350cfc3dd8ef150),
+    ("suite/sms4/RustChecked/StrStencil", 0x7e0f973d971f371a),
+    ("suite/sms4/RustChecked/VecGCD", 0xd7c69920e33346ab),
+    ("suite/sms4/RustChecked/MotionEst", 0xb59a2cf5e15abec9),
+    ("suite/sms4/GpuShield/VecAdd", 0x32d7f3bd95ea209c),
+    ("suite/sms4/GpuShield/Histogram", 0xe3c9b40a6783888e),
+    ("suite/sms4/GpuShield/Reduce", 0x5285d9e6b110e62f),
+    ("suite/sms4/GpuShield/Scan", 0xb5e55cdb51d3e843),
+    ("suite/sms4/GpuShield/Transpose", 0x24651da355788d43),
+    ("suite/sms4/GpuShield/MatVecMul", 0x25373a1815ec84f0),
+    ("suite/sms4/GpuShield/MatMul", 0x10bed94b78da2466),
+    ("suite/sms4/GpuShield/BitonicSm", 0xf8d0d314d732a5a6),
+    ("suite/sms4/GpuShield/BitonicLa", 0x5933c8c9e99b8568),
+    ("suite/sms4/GpuShield/SPMV", 0x81ce39dc4f7e620b),
+    ("suite/sms4/GpuShield/BlkStencil", 0xf13e33a5739ccfe4),
+    ("suite/sms4/GpuShield/StrStencil", 0x31ce52f2c37f3a8a),
+    ("suite/sms4/GpuShield/VecGCD", 0x62361c554eed3de0),
+    ("suite/sms4/GpuShield/MotionEst", 0x7f02f1497df9aac0),
     ("kir-scalarise/case00/Baseline", 0x38ecd6b30b5b5feb),
     ("kir-scalarise/case00/PureCap", 0xca81d2793ffabaeb),
     ("kir-scalarise/case01/Baseline", 0x466d4254f8fe6d84),
@@ -615,4 +804,20 @@ const GOLDEN: &[(&str, u64)] = &[
     ("faults/AlignmentViolation/MaskLanes", 0xe9e5d4317baba383),
     ("faults/InexactBounds/Abort", 0x9a7d72dc72b8201d),
     ("faults/InexactBounds/MaskLanes", 0xfb72b193803d6eb1),
+    ("abort-order/sms2/Mem/sm0", 0xfc09cbb57b59e29c),
+    ("abort-order/sms2/Mem/sm1", 0x03f07ad34026cdac),
+    ("abort-order/sms2/Ecall/sm0", 0xa0e3f633b456e3b4),
+    ("abort-order/sms2/Ecall/sm1", 0xfd346d4546171484),
+    ("abort-order/sms4/Mem/sm0", 0x397d8cfe51d5041c),
+    ("abort-order/sms4/Mem/sm3", 0x7ca98f19f728b6dc),
+    ("abort-order/sms4/Ecall/sm0", 0x519fdb35bceeac34),
+    ("abort-order/sms4/Ecall/sm3", 0x3cabc9da1a3f5274),
+    ("abort-order/ahead/sms2/Mem/sm0", 0x31ce0dc716cb083d),
+    ("abort-order/ahead/sms2/Mem/sm1", 0x442bc1b9d690281d),
+    ("abort-order/ahead/sms2/Ecall/sm0", 0x9e9c03facd268715),
+    ("abort-order/ahead/sms2/Ecall/sm1", 0xe9d8fdd08e4d94d5),
+    ("abort-order/ahead/sms4/Mem/sm0", 0xda1eec3e70c9726f),
+    ("abort-order/ahead/sms4/Mem/sm3", 0xa19e638ace21b24f),
+    ("abort-order/ahead/sms4/Ecall/sm0", 0x3a62a031f299d4c7),
+    ("abort-order/ahead/sms4/Ecall/sm3", 0x96b83edc68c5f5e7),
 ];
