@@ -1,28 +1,41 @@
 //! The device layer: N streaming multiprocessors sharing one memory
 //! subsystem.
 //!
-//! A [`Device`] owns `sms` copies of [`Sm`] plus — when `sms > 1` — a
-//! single *shared* memory subsystem (functional DRAM, the DRAM channel
-//! timing model, and the tag controller) that the SMs arbitrate for. Each
-//! SM keeps its own scratchpad, coalescing unit and register files, exactly
-//! like SIMTight's per-core local resources.
-//!
-//! **Single-SM devices are bit-identical to a bare [`Sm`]**: with `sms ==
-//! 1` there is no shared state, no arbitration, and every call delegates
-//! straight to the one SM — the golden-stats regression test in
-//! `crates/bench` pins this down for the whole benchmark suite.
+//! A [`Device`] owns `sms` copies of [`Sm`] and one memory subsystem
+//! (functional DRAM, the DRAM channel timing model and the tag controller)
+//! that the SMs share. Each SM keeps its own scratchpad, coalescing unit
+//! and register files, exactly like SIMTight's per-core local resources.
+//! Between runs the shared subsystem lives in SM 0, so [`Device::memory`]
+//! is SM 0's memory; every other SM holds an empty stub.
 //!
 //! # Arbitration model
 //!
-//! For `sms > 1` the device interleaves the SMs at instruction granularity:
-//! each step it picks the *not-yet-finished SM with the smallest local
-//! cycle* and advances it by one scheduler step with the shared subsystem
-//! installed. The DRAM channel's `free_at` horizon and the tag cache's
-//! line state therefore carry across SMs, which is what creates
-//! contention: an SM whose transactions queue behind another SM's pays
-//! real cycles, visible in `DramStats::cross_sm_wait_cycles` and the tag
-//! cache's cross-SM conflict evictions. Because the pick is deterministic
-//! (lowest SM index wins ties), a multi-SM run is exactly reproducible.
+//! Every SM count takes the same path. The device orders the SMs by their
+//! `(local cycle, SM index)` key: the not-yet-finished SM with the
+//! smallest key takes the next scheduler step, with the shared subsystem
+//! handed to it. So every access to shared state happens in global key
+//! order, ties going to the lowest index: the DRAM channel's `free_at`
+//! horizon and the tag cache's line state carry across SMs, which is what
+//! creates contention. An SM whose transactions queue behind another SM's
+//! pays real cycles, visible in `DramStats::cross_sm_wait_cycles` and the
+//! tag cache's cross-SM conflict evictions. A multi-SM run is exactly
+//! reproducible, and a one-SM device is bit-identical to a bare [`Sm`].
+//!
+//! Stepping one SM at a time would hand the turn over on most steps, yet
+//! most steps touch only the SM's own state. So the SM that holds the turn
+//! runs a *burst* (conservative lookahead, as in parallel discrete-event
+//! simulation): it keeps stepping while it still has the smallest key, or
+//! while its next step is provably local — it touches no DRAM contents,
+//! DRAM timing or tag state and cannot end the SM (see
+//! [`crate::pipeline::schedule`]). A local step commutes with every other
+//! SM's steps, so each shared access and each SM completion still happens
+//! in global key order, and the run is the one that strict per-step
+//! interleaving produces. The shared subsystem moves once per burst.
+//!
+//! An SM that traps while running ahead holds its error as *pending*,
+//! keyed by the cycle its faulting issue began, and stops. The run aborts
+//! when the smallest key on the device is an error, which is the error
+//! strict interleaving reports, with the same shared state.
 //!
 //! # Work distribution
 //!
@@ -36,32 +49,21 @@
 use crate::config::SmConfig;
 use crate::counters::KernelStats;
 use crate::pipeline::StepOutcome;
-use crate::sm::Sm;
+use crate::sm::{MemSys, Sm};
 use crate::trap::RunError;
 use cheri_cap::CapMem;
-use simt_mem::{map, Dram, MainMemory, TagController};
+use simt_mem::MainMemory;
 
-/// The subsystem the SMs share: functional DRAM contents, the DRAM channel
-/// timing model, and the tag controller. Parked here between steps and
-/// swap-installed into whichever SM is about to execute.
-#[derive(Debug)]
-struct Shared {
-    mem: MainMemory,
-    dram: Dram,
-    tags: TagController,
-}
-
-/// A GPU device: N SMs plus (for N > 1) an arbitrated shared memory
-/// subsystem. See the module documentation for the arbitration model.
+/// A GPU device: N SMs sharing one memory subsystem. See the module
+/// documentation for the arbitration model.
 #[derive(Debug)]
 pub struct Device {
+    /// The SMs; SM 0 holds the shared memory subsystem outside
+    /// [`Device::run`].
     sms: Vec<Sm>,
-    /// `Some` iff `sms.len() > 1`; holds the shared subsystem whenever it
-    /// is not installed in an SM (i.e. always, outside [`Device::run`]).
-    shared: Option<Shared>,
-    /// Per-SM end-of-run statistics from the last completed run.
+    /// Per-SM statistics snapshots from the last run.
     sm_stats: Vec<Option<KernelStats>>,
-    /// Combined device statistics from the last completed run.
+    /// Combined device statistics from the last run.
     stats: KernelStats,
 }
 
@@ -76,31 +78,17 @@ impl Device {
     pub fn new(cfg: SmConfig, sms: u32) -> Self {
         assert!(sms >= 1, "a device needs at least one SM");
         let threads = cfg.threads();
-        let mut cores: Vec<Sm> = (0..sms).map(|_| Sm::new(cfg)).collect();
-        for (k, sm) in cores.iter_mut().enumerate() {
-            sm.set_hart_base(k as u32 * threads);
-            sm.set_device_threads(sms * threads);
-            // Multi-SM arbitration interleaves SMs at instruction
-            // granularity, so an SM must never retire more than one issue
-            // per scheduler step: basic-block runs stay single-SM only.
-            sm.block_runs = sms == 1;
-        }
-        let shared = (sms > 1).then(|| {
-            // Move SM 0's subsystem out as the shared one and park stubs in
-            // every SM; the stubs are swapped out before any SM executes.
-            let mem = std::mem::replace(&mut cores[0].mem, MainMemory::new(map::DRAM_BASE, 0));
-            let dram = std::mem::replace(&mut cores[0].dram, Dram::new(cfg.dram));
-            let tags = std::mem::replace(
-                &mut cores[0].tags,
-                TagController::new(cfg.tag_cache, cfg.cheri.enabled()),
-            );
-            for sm in &mut cores[1..] {
-                sm.mem = MainMemory::new(map::DRAM_BASE, 0);
-            }
-            Shared { mem, dram, tags }
-        });
+        let cores: Vec<Sm> = (0..sms)
+            .map(|k| {
+                let mem = if k == 0 { MemSys::new(&cfg) } else { MemSys::stub(&cfg) };
+                let mut sm = Sm::with_mem(cfg, mem);
+                sm.set_hart_base(k * threads);
+                sm.set_device_threads(sms * threads);
+                sm
+            })
+            .collect();
         let n = cores.len();
-        Device { sms: cores, shared, sm_stats: vec![None; n], stats: KernelStats::default() }
+        Device { sms: cores, sm_stats: vec![None; n], stats: KernelStats::default() }
     }
 
     /// Number of SMs.
@@ -118,27 +106,21 @@ impl Device {
         &self.sms[k]
     }
 
-    /// Mutable SM `k` (panics if out of range). Note that on a multi-SM
-    /// device an SM's own `memory()` is a parked stub — use
-    /// [`Device::memory`] for the real DRAM contents.
+    /// Mutable SM `k` (panics if out of range). Between runs SM 0 holds
+    /// the device's shared memory subsystem, so its `memory()` is
+    /// [`Device::memory`]; every other SM's `memory()` is an empty stub.
     pub fn sm_mut(&mut self, k: usize) -> &mut Sm {
         &mut self.sms[k]
     }
 
-    /// The device's functional DRAM (the shared one on a multi-SM device).
+    /// The device's functional DRAM, shared by every SM.
     pub fn memory(&self) -> &MainMemory {
-        match &self.shared {
-            Some(sh) => &sh.mem,
-            None => self.sms[0].memory(),
-        }
+        self.sms[0].memory()
     }
 
     /// Mutable device DRAM.
     pub fn memory_mut(&mut self) -> &mut MainMemory {
-        match &mut self.shared {
-            Some(sh) => &mut sh.mem,
-            None => self.sms[0].memory_mut(),
-        }
+        self.sms[0].memory_mut()
     }
 
     /// Load the kernel program into every SM's instruction memory.
@@ -176,39 +158,23 @@ impl Device {
         }
     }
 
-    /// Reset every SM and the shared subsystem's statistics for a fresh
-    /// launch (memory contents are preserved).
+    /// Reset every SM, and the shared subsystem's statistics and tag
+    /// cache, for a fresh launch (memory contents are preserved).
     pub fn reset(&mut self) {
         for sm in &mut self.sms {
             sm.reset();
-        }
-        if let Some(sh) = &mut self.shared {
-            sh.dram.reset_stats();
-            sh.tags.reset();
         }
         self.sm_stats = vec![None; self.sms.len()];
         self.stats = KernelStats::default();
     }
 
-    /// Swap the shared subsystem into SM `k` (and point the contention
-    /// accounting at it). Must be balanced by [`Device::uninstall`].
-    fn install(&mut self, k: usize) {
-        let sh = self.shared.as_mut().expect("install() is multi-SM only");
-        sh.dram.set_accessor(k as u32);
-        sh.tags.set_accessor(k as u32);
-        let sm = &mut self.sms[k];
-        std::mem::swap(&mut sm.mem, &mut sh.mem);
-        std::mem::swap(&mut sm.dram, &mut sh.dram);
-        std::mem::swap(&mut sm.tags, &mut sh.tags);
-    }
-
-    /// Swap the shared subsystem back out of SM `k`.
-    fn uninstall(&mut self, k: usize) {
-        let sh = self.shared.as_mut().expect("uninstall() is multi-SM only");
-        let sm = &mut self.sms[k];
-        std::mem::swap(&mut sm.mem, &mut sh.mem);
-        std::mem::swap(&mut sm.dram, &mut sh.dram);
-        std::mem::swap(&mut sm.tags, &mut sh.tags);
+    /// Move the shared memory subsystem from SM `from` to SM `to` (the
+    /// stub goes the other way).
+    fn hand_over(&mut self, from: usize, to: usize) {
+        if from != to {
+            let [a, b] = self.sms.get_disjoint_mut([from, to]).expect("distinct SMs");
+            std::mem::swap(&mut a.mem, &mut b.mem);
+        }
     }
 
     /// Run every SM to completion and return the combined device
@@ -216,76 +182,85 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// The first SM to trap, dead-lock or time out aborts the whole run
-    /// with its error (deterministic, because the arbitration is). A
-    /// trapped device stays queryable: every SM that ran — including the
-    /// trapped one — has its partial statistics snapshotted, so
-    /// [`Device::sm_stats`] and [`Device::stats`] report the state at the
-    /// moment of the fault instead of panicking.
+    /// The SM error with the smallest `(cycle, SM index)` key — a trap,
+    /// dead-lock or time-out — aborts the whole run (deterministic,
+    /// because the arbitration is). A trapped device stays queryable:
+    /// every SM has a statistics snapshot (see [`Device::sm_stats`]), and
+    /// [`Device::stats`] combines them, instead of panicking.
     pub fn run(&mut self, max_cycles: u64) -> Result<KernelStats, RunError> {
-        if self.shared.is_none() {
-            // Single SM: the classic path, bit-identical to `Sm::run`.
-            let stats = match self.sms[0].run(max_cycles) {
-                Ok(s) => s,
-                Err(e) => {
-                    // Snapshot the partial counters so the device stays
-                    // queryable after the trap.
-                    let partial = self.sms[0].finalise();
-                    self.sm_stats[0] = Some(partial.clone());
-                    self.stats = partial;
-                    return Err(e);
-                }
-            };
-            self.sm_stats[0] = Some(stats.clone());
-            self.stats = stats.clone();
-            return Ok(stats);
-        }
         let n = self.sms.len();
+        // SMs still running, and the pending error (with the cycle its
+        // issue began) of any that trapped while running ahead.
         let mut live: Vec<usize> = (0..n).collect();
-        while !live.is_empty() {
-            // Deterministic arbitration: the live SM with the smallest
-            // local cycle steps next; ties go to the lowest index.
-            let k = *live.iter().min_by_key(|&&k| (self.sms[k].cycle(), k)).expect("nonempty");
-            self.install(k);
-            let outcome = match self.sms[k].step(max_cycles) {
-                Ok(o) => o,
-                Err(e) => {
-                    // Finalise the trapped SM while the shared subsystem is
-                    // still installed (its snapshot sees the live
-                    // counters), then take partial snapshots of the other
-                    // still-running SMs so the whole device is queryable.
-                    self.sm_stats[k] = Some(self.sms[k].finalise());
-                    self.uninstall(k);
-                    for &other in &live {
-                        if other != k {
-                            self.sm_stats[other] = Some(self.sms[other].finalise());
-                        }
-                    }
-                    self.stats = self.combine();
-                    return Err(e);
+        let mut pending: Vec<Option<(u64, RunError)>> = vec![None; n];
+        let mut holder = 0;
+        let key = |sms: &[Sm], pending: &[Option<(u64, RunError)>], k: usize| {
+            (pending[k].as_ref().map_or(sms[k].cycle(), |(c, _)| *c), k)
+        };
+        let result = loop {
+            // Deterministic arbitration: the smallest key takes the turn
+            // and holds it until it passes the runner-up's key.
+            let Some(k) = live.iter().copied().min_by_key(|&j| key(&self.sms, &pending, j)) else {
+                break Ok(());
+            };
+            if let Some((_, e)) = pending[k].take() {
+                break Err(e);
+            }
+            let turn_until = live
+                .iter()
+                .filter(|&&j| j != k)
+                .map(|&j| key(&self.sms, &pending, j))
+                .min()
+                .map_or(u64::MAX, |(c, j)| c + u64::from(k < j));
+            self.hand_over(holder, k);
+            holder = k;
+            let sm = &mut self.sms[k];
+            sm.mem.set_accessor(k as u32);
+            let outcome = loop {
+                match sm.step(max_cycles, turn_until) {
+                    Ok(StepOutcome::Progress) => {}
+                    other => break other,
                 }
             };
-            if outcome == StepOutcome::Done {
-                // Finalise while the shared subsystem is still installed so
-                // the per-SM snapshot sees the live counters.
-                self.sm_stats[k] = Some(self.sms[k].finalise());
-                live.retain(|&x| x != k);
+            match outcome {
+                Ok(StepOutcome::Done) => {
+                    self.sm_stats[k] = Some(sm.finalise());
+                    live.retain(|&j| j != k);
+                }
+                Ok(StepOutcome::Progress | StepOutcome::Blocked) => {}
+                // Raised while holding the turn: the smallest key on the
+                // device, so the run aborts now.
+                Err(e) if sm.key_cycle < turn_until => break Err(e),
+                Err(e) => pending[k] = Some((sm.key_cycle, e)),
             }
-            self.uninstall(k);
+        };
+        if result.is_err() {
+            // Snapshot every SM still running against the shared
+            // subsystem as it stands at the abort.
+            for &k in &live {
+                self.hand_over(holder, k);
+                holder = k;
+                self.sm_stats[k] = Some(self.sms[k].finalise());
+            }
         }
+        self.hand_over(holder, 0);
         self.stats = self.combine();
-        Ok(self.stats.clone())
+        result.map(|()| self.stats.clone())
     }
 
-    /// Per-SM statistics of the last completed run (`None` before any run).
-    /// On a multi-SM device the `dram`/`tag_cache` sub-structs are
-    /// snapshots of the *shared* subsystem at that SM's completion time —
-    /// use the combined device statistics for end-of-run totals.
+    /// Per-SM statistics of the last run (`None` before any run). Every
+    /// snapshot's `dram`/`tag_cache` sub-structs are the *shared*
+    /// subsystem's counters at the moment the snapshot was taken: at the
+    /// SM's completion, or — for every SM still running when a run aborts,
+    /// the faulting one included — at the abort. The pipeline counters of
+    /// an aborted run's SMs cover the steps each SM took, which may run
+    /// past the faulting cycle where those steps were local. Use the
+    /// combined device statistics for end-of-run totals.
     pub fn sm_stats(&self, k: usize) -> Option<&KernelStats> {
         self.sm_stats[k].as_ref()
     }
 
-    /// Combined statistics of the last completed run.
+    /// Combined statistics of the last run.
     pub fn stats(&self) -> &KernelStats {
         &self.stats
     }
@@ -294,27 +269,27 @@ impl Device {
     /// merge as in [`KernelStats::add`], `cycles` is the slowest SM (the
     /// SMs run concurrently), residency averages are issue-weighted, and
     /// the shared `dram`/`tag_cache` counters are read once from the
-    /// shared subsystem rather than summed across per-SM snapshots.
-    /// Tolerates missing per-SM snapshots (an aborted run combines only
-    /// the SMs that have one).
+    /// shared subsystem rather than summed across per-SM snapshots. One
+    /// snapshot combines to itself.
     fn combine(&self) -> KernelStats {
-        let mut out = KernelStats::default();
-        let mut weighted_data = 0.0;
-        let mut weighted_meta = 0.0;
-        for s in self.sm_stats.iter().flatten() {
+        let mut snaps = self.sm_stats.iter().flatten();
+        let mut out = snaps.next().cloned().unwrap_or_default();
+        let mut weighted_data = out.avg_data_vrf_resident * out.instrs as f64;
+        let mut weighted_meta = out.avg_meta_vrf_resident * out.instrs as f64;
+        let mut merged = false;
+        for s in snaps {
             out.cycles = out.cycles.max(s.cycles);
             weighted_data += s.avg_data_vrf_resident * s.instrs as f64;
             weighted_meta += s.avg_meta_vrf_resident * s.instrs as f64;
             out.add(s);
+            merged = true;
         }
-        if out.instrs > 0 {
+        if merged && out.instrs > 0 {
             out.avg_data_vrf_resident = weighted_data / out.instrs as f64;
             out.avg_meta_vrf_resident = weighted_meta / out.instrs as f64;
         }
-        if let Some(sh) = &self.shared {
-            out.dram = sh.dram.stats();
-            out.tag_cache = sh.tags.stats();
-        }
+        out.dram = self.sms[0].mem.dram.stats();
+        out.tag_cache = self.sms[0].mem.tags.stats();
         out
     }
 }
@@ -324,6 +299,7 @@ mod tests {
     use super::*;
     use crate::config::CheriMode;
     use simt_isa::{csr, AluOp, Instr, Reg, SimtOp, StoreWidth};
+    use simt_mem::map;
 
     /// Each thread stores its *global* hart id; both SMs' stores land in
     /// the shared DRAM, and the combined stats sum the two pipelines.
@@ -363,8 +339,10 @@ mod tests {
     }
 
     /// One SM of a two-SM device traps (its harts take the faulting
-    /// branch); the device reports the trap *and* stays queryable — both
-    /// SMs have statistics snapshots and the combined stats are populated.
+    /// branch) while the other is still storing; the device reports the
+    /// trap *and* stays queryable — both SMs have statistics snapshots,
+    /// the combined stats are populated, and every snapshot's shared
+    /// counters are the shared subsystem's at the abort.
     #[test]
     fn trapped_device_stays_queryable() {
         use simt_isa::{BranchCond, LoadWidth};
@@ -374,10 +352,20 @@ mod tests {
         let prog: Vec<u32> = [
             Instr::Csrrs { rd: Reg::A0, csr: csr::MHARTID, rs1: Reg::ZERO },
             Instr::OpImm { op: AluOp::Add, rd: Reg::A1, rs1: Reg::ZERO, imm: threads as i32 },
+            Instr::OpImm { op: AluOp::Sll, rd: Reg::A3, rs1: Reg::A0, imm: 2 },
+            Instr::Lui { rd: Reg::A2, imm: map::DRAM_BASE },
+            Instr::Op { op: AluOp::Add, rd: Reg::A3, rs1: Reg::A3, rs2: Reg::A2 },
             // Harts on SM 1 (global id >= threads) take the branch into an
-            // unmapped load; harts on SM 0 terminate cleanly.
-            Instr::Branch { cond: BranchCond::Geu, rs1: Reg::A0, rs2: Reg::A1, off: 8 },
+            // ALU stretch and an unmapped load; harts on SM 0 store twice
+            // and terminate.
+            Instr::Branch { cond: BranchCond::Geu, rs1: Reg::A0, rs2: Reg::A1, off: 16 },
+            Instr::Store { w: StoreWidth::W, rs2: Reg::A0, rs1: Reg::A3, off: 0 },
+            Instr::Store { w: StoreWidth::W, rs2: Reg::A0, rs1: Reg::A3, off: 1024 },
             Instr::Simt { op: SimtOp::Terminate },
+            Instr::OpImm { op: AluOp::Add, rd: Reg::A4, rs1: Reg::A4, imm: 1 },
+            Instr::OpImm { op: AluOp::Add, rd: Reg::A4, rs1: Reg::A4, imm: 1 },
+            Instr::OpImm { op: AluOp::Add, rd: Reg::A4, rs1: Reg::A4, imm: 1 },
+            Instr::OpImm { op: AluOp::Add, rd: Reg::A4, rs1: Reg::A4, imm: 1 },
             Instr::Load { w: LoadWidth::W, rd: Reg::A2, rs1: Reg::ZERO, off: 0 },
             Instr::Simt { op: SimtOp::Terminate },
         ]
@@ -400,6 +388,13 @@ mod tests {
         assert_eq!(combined.instrs, s0.instrs + s1.instrs);
         assert_eq!(combined.faults.traps, 1);
         assert!(combined.cycles > 0);
+        // Neither SM finished, so both snapshots were taken at the abort:
+        // their shared counters are the device's, not a parked stub's.
+        assert!(combined.dram.write_transactions > 0, "SM 0 stored before the abort");
+        for s in [s0, s1] {
+            assert_eq!(s.dram, combined.dram);
+            assert_eq!(s.tag_cache, combined.tag_cache);
+        }
     }
 
     /// Multi-launch totals keep the cross-SM contention counters:

@@ -26,21 +26,16 @@ use simt_isa::{Instr, LoadWidth, Reg, SimtOp};
 use simt_trace::{IssueClass, StallCause, TraceEvent};
 
 impl Sm {
-    /// Select and issue one instruction for warp `w`, returning the
-    /// selection that issued (the scheduler's block runner continues from
-    /// it).
+    /// Active-thread selection for warp `w`, which the scheduler picked.
     ///
     /// # Errors
     ///
     /// Returns [`RunError::SchedulerInvariant`] — instead of aborting the
-    /// process — if `w` has no selectable thread, plus everything
-    /// [`Sm::issue_with`] can return.
-    pub(crate) fn issue(&mut self, w: usize) -> Result<Selection, RunError> {
-        let Some(sel) = self.warps[w].select() else {
-            return Err(RunError::SchedulerInvariant { warp: w as u32, cycles: self.cycle });
-        };
-        self.issue_with(w, sel)?;
-        Ok(sel)
+    /// process — if `w` has no selectable thread.
+    pub(crate) fn selection(&self, w: usize) -> Result<Selection, RunError> {
+        self.warps[w]
+            .select()
+            .ok_or(RunError::SchedulerInvariant { warp: w as u32, cycles: self.cycle })
     }
 
     /// Issue one instruction for warp `w` under the given selection,
@@ -50,6 +45,7 @@ impl Sm {
     /// warp running. Either way the trap is counted in
     /// [`crate::FaultStats`] and emitted as a `trap` trace event.
     pub(crate) fn issue_with(&mut self, w: usize, sel: Selection) -> Result<(), RunError> {
+        self.key_cycle = self.cycle;
         match self.issue_inner(w, sel) {
             Err(RunError::Trap(t)) => self.deliver_trap(t),
             other => other,
@@ -166,7 +162,7 @@ impl Sm {
         if costs.dram_reads + costs.dram_writes > 0 {
             match self.sink.as_deref_mut() {
                 Some(sink) => {
-                    self.dram.access_traced(
+                    self.mem.dram.access_traced(
                         self.cycle,
                         costs.dram_reads,
                         costs.dram_writes,
@@ -176,7 +172,7 @@ impl Sm {
                     );
                 }
                 None => {
-                    self.dram.access(self.cycle, costs.dram_reads, costs.dram_writes, 0);
+                    self.mem.dram.access(self.cycle, costs.dram_reads, costs.dram_writes, 0);
                 }
             }
         }

@@ -137,8 +137,8 @@ impl Sm {
             // paying for the data assembly twice.
             if plan.has(TrapPlan::MAPPING) && cause.is_none() {
                 cause = match (map::route(eas[i], self.cfg.dram_size), is_cap) {
-                    (map::Region::Dram, false) => self.mem.check(eas[i], bytes).err(),
-                    (map::Region::Dram, true) => self.mem.check_cap(eas[i]).err(),
+                    (map::Region::Dram, false) => self.mem.main.check(eas[i], bytes).err(),
+                    (map::Region::Dram, true) => self.mem.main.check_cap(eas[i]).err(),
                     (map::Region::Scratch, false) => self.scratch.check(eas[i], bytes).err(),
                     (map::Region::Scratch, true) => self.scratch.check_cap(eas[i]).err(),
                     _ => Some(MemFault::Unmapped(eas[i])),
@@ -165,15 +165,15 @@ impl Sm {
                 match (region, is_store, is_cap) {
                     (map::Region::Dram, false, false) => {
                         dram_reqs.push(req);
-                        results[i] = sign_extend(self.mem.read(ea, bytes)?, lw) as u64;
+                        results[i] = sign_extend(self.mem.main.read(ea, bytes)?, lw) as u64;
                     }
                     (map::Region::Dram, true, false) => {
                         dram_reqs.push(req);
-                        self.mem.write(ea, val[i] as u32, bytes)?;
+                        self.mem.main.write(ea, val[i] as u32, bytes)?;
                     }
                     (map::Region::Dram, false, true) => {
                         dram_reqs.push(req);
-                        let c = self.mem.read_cap(ea)?;
+                        let c = self.mem.main.read_cap(ea)?;
                         results[i] = c.addr() as u64;
                         results_m[i] = c.meta() as u64 | ((c.tag() as u64) << 32);
                     }
@@ -181,7 +181,7 @@ impl Sm {
                         dram_reqs.push(req);
                         let (d, m) = (val[i], val_m[i]);
                         let c = CapMem::from_parts(m as u32, d as u32, m >> 32 & 1 == 1);
-                        self.mem.write_cap(ea, c)?;
+                        self.mem.main.write_cap(ea, c)?;
                     }
                     (map::Region::Scratch, false, false) => {
                         scratch_reqs.push(req);
@@ -302,7 +302,7 @@ impl Sm {
             eas[i] = ea;
             if plan.has(TrapPlan::MAPPING) && cause.is_none() {
                 cause = match map::route(ea, self.cfg.dram_size) {
-                    map::Region::Dram => self.mem.check(ea, 4).err(),
+                    map::Region::Dram => self.mem.main.check(ea, 4).err(),
                     map::Region::Scratch => self.scratch.check(ea, 4).err(),
                     _ => Some(MemFault::Unmapped(ea)),
                 }
@@ -328,8 +328,8 @@ impl Sm {
                 match region {
                     map::Region::Dram => {
                         dram_reqs.push(req);
-                        let old = self.mem.read(ea, 4)?;
-                        self.mem.write(ea, exec::amo(op, old, operands[i] as u32), 4)?;
+                        let old = self.mem.main.read(ea, 4)?;
+                        self.mem.main.write(ea, exec::amo(op, old, operands[i] as u32), 4)?;
                         results[i] = old as u64;
                     }
                     map::Region::Scratch => {
@@ -449,15 +449,19 @@ impl Sm {
                 }
                 prev = Some(b);
                 tag_txns += match self.sink.as_deref_mut() {
-                    Some(sink) => self.tags.on_access_traced(b * 64, is_store, self.cycle, w, sink),
-                    None => self.tags.on_access(b * 64, is_store),
+                    Some(sink) => {
+                        self.mem.tags.on_access_traced(b * 64, is_store, self.cycle, w, sink)
+                    }
+                    None => self.mem.tags.on_access(b * 64, is_store),
                 };
             }
             let (reads, writes) =
                 if is_store { (0, co.transactions) } else { (co.transactions, 0) };
             done_at = done_at.max(match self.sink.as_deref_mut() {
-                Some(sink) => self.dram.access_traced(self.cycle, reads, writes, tag_txns, w, sink),
-                None => self.dram.access(self.cycle, reads, writes, tag_txns),
+                Some(sink) => {
+                    self.mem.dram.access_traced(self.cycle, reads, writes, tag_txns, w, sink)
+                }
+                None => self.mem.dram.access(self.cycle, reads, writes, tag_txns),
             });
         }
         if !scratch_reqs.is_empty() {

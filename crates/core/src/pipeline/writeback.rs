@@ -49,9 +49,6 @@ impl Sm {
         next_pc: &[u32; MAX_LANES],
         status_change: Option<ThreadStatus>,
     ) {
-        if status_change == Some(ThreadStatus::AtBarrier) {
-            self.maybe_parked = true;
-        }
         let warp = &mut self.warps[w as usize];
         warp.cached_sel = None;
         for i in active_lanes(sel.mask, self.cfg.lanes as usize) {
@@ -75,9 +72,6 @@ impl Sm {
         next_pc: u32,
         status_change: Option<ThreadStatus>,
     ) {
-        if status_change == Some(ThreadStatus::AtBarrier) {
-            self.maybe_parked = true;
-        }
         let warp = &mut self.warps[w as usize];
         warp.cached_sel = None;
         for i in active_lanes(sel.mask, self.cfg.lanes as usize) {

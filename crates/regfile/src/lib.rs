@@ -308,6 +308,30 @@ impl CompressedRegFile {
         }
     }
 
+    /// Return to the state [`Self::new`] builds — every register reads as
+    /// zero, the whole VRF is free, statistics are zeroed — without
+    /// reallocating the entry table or the VRF backing store. Stale VRF
+    /// contents are never observed: a slot is always written in full
+    /// before an entry points at it.
+    pub fn clear(&mut self) {
+        let slots = self.cfg.vrf_slots;
+        self.entries.fill(Entry::Scalar { base: 0, stride: 0 });
+        self.free.clear();
+        self.free.extend((0..slots).rev());
+        self.victim = 0;
+        self.resident = 0;
+        self.stats = RfStats::default();
+        self.ever_nonnull.fill(0);
+    }
+
+    /// Conservative: can one issue — any reads plus at most one register
+    /// write — neither spill nor fill? True when nothing has spilled since
+    /// [`Self::new`] or [`Self::clear`] (so no register is waiting to be
+    /// filled) and a free VRF slot is available for the write.
+    pub fn spill_free_issue(&self) -> bool {
+        self.stats.spills == 0 && !self.free.is_empty()
+    }
+
     /// The configuration.
     pub fn config(&self) -> &RfConfig {
         &self.cfg
@@ -989,6 +1013,51 @@ mod tests {
             evs[1],
             TraceEvent::RfTransition { cycle: 20, reg: 5, to_vector: false, .. }
         ));
+    }
+
+    #[test]
+    fn clear_matches_a_fresh_file() {
+        let mut rf = CompressedRegFile::new(cfg()); // 4 slots
+        for r in 0..6 {
+            rf.write(1, r, &vals(|i| (i as u64) * 97 + r as u64), u64::MAX);
+        }
+        assert!(rf.stats().spills > 0 && !rf.spill_free_issue());
+        rf.clear();
+        let fresh = CompressedRegFile::new(cfg());
+        assert_eq!(rf.stats(), fresh.stats());
+        assert_eq!(rf.vrf_resident(), 0);
+        assert_eq!(rf.max_nonnull_regs(), 0);
+        assert!(rf.spill_free_issue());
+        let (mut got, mut want) = ([1u64; 8], [1u64; 8]);
+        for w in 0..2 {
+            for r in 0..32 {
+                rf.peek(w, r, &mut got);
+                fresh.peek(w, r, &mut want);
+                assert_eq!(got, want, "warp {w} reg {r}");
+            }
+        }
+        // The cleared file replays a spilling sequence exactly like a
+        // fresh one.
+        let mut fresh = fresh;
+        for r in 0..6 {
+            let v = vals(|i| (i as u64) * 31 + r as u64);
+            assert_eq!(rf.write(0, r, &v, u64::MAX), fresh.write(0, r, &v, u64::MAX));
+        }
+        assert_eq!(rf.stats(), fresh.stats());
+    }
+
+    #[test]
+    fn spill_free_issue_needs_a_free_slot_and_no_spill() {
+        let mut rf = CompressedRegFile::new(cfg()); // 4 slots
+        for r in 0..4 {
+            assert!(rf.spill_free_issue(), "slot free before write {r}");
+            let info = rf.write(0, r, &vals(|i| (i * i) as u64 + r as u64), u64::MAX);
+            assert_eq!(info.spills, 0);
+        }
+        assert!(!rf.spill_free_issue(), "VRF full: the next vector write spills");
+        rf.write(0, 4, &vals(|i| (i * i) as u64), u64::MAX);
+        rf.write(0, 4, &vals(|_| 3), u64::MAX);
+        assert!(rf.stats().spills > 0 && !rf.spill_free_issue(), "a spilled register may fill");
     }
 
     #[test]
