@@ -244,14 +244,15 @@ impl Gpu {
         &mut self.device
     }
 
-    /// SM 0 (e.g. for reading statistics). On a multi-SM GPU this SM's own
-    /// `memory()` is a parked stub — use [`Gpu::device`] +
-    /// [`Device::memory`] for the real DRAM contents.
+    /// SM 0 (e.g. for reading statistics). Between runs SM 0 holds the
+    /// device's shared memory subsystem at every SM count, so its
+    /// `memory()` is [`Device::memory`]; the other SMs' own `memory()` is
+    /// an empty stub.
     pub fn sm(&self) -> &Sm {
         self.device.sm(0)
     }
 
-    /// Mutable access to SM 0 (see [`Gpu::sm`] for the multi-SM caveat).
+    /// Mutable access to SM 0 (see [`Gpu::sm`]).
     pub fn sm_mut(&mut self) -> &mut Sm {
         self.device.sm_mut(0)
     }
